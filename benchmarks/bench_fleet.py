@@ -177,9 +177,14 @@ def main(argv=None) -> int:
             "note": (
                 "replicas/second end-to-end through run_sweep; warm legs "
                 "replay the sweep journal (crash-safe resume), so they "
-                "measure recovery throughput; each HTTP job forks one "
-                "supervised worker, which dominates the service/fleet "
-                "cells — the fleet buys fault tolerance and horizontal "
+                "measure recovery throughput; each remote replica is one "
+                "HTTP job run on the endpoint's warm worker pool (no fork "
+                "per job), and its result reaches the dispatcher through "
+                "a status long-poll as soon as it lands, so the "
+                "service/fleet cells pay per-job HTTP round trips, "
+                "admission, journal appends, queue hand-off and pool IPC "
+                "(perfbench/run.py --trace 1 prints the per-replica "
+                "ledger) — the fleet buys fault tolerance and horizontal "
                 "scale, not single-replica speed"
             ),
         },

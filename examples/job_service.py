@@ -5,7 +5,7 @@ Boots a :class:`repro.service.JobService` (no sockets needed — the HTTP
 layer is optional) plus its stdlib HTTP front-end, then demonstrates the
 robustness features documented in docs/SERVICE.md:
 
-1. a simulate job submitted over HTTP and polled to completion;
+1. a simulate job submitted over HTTP and long-polled to completion;
 2. an exact-solver (``opt``) job with a deliberately impossible
    deadline — the answer comes back ``DEGRADED`` with a guaranteed
    ``[lower, upper]`` interval instead of a timeout error;

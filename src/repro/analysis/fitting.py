@@ -12,7 +12,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 __all__ = ["PowerLawFit", "fit_power_law", "is_linear_growth"]
 
@@ -42,6 +41,8 @@ def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> PowerLawFit:
         raise ValueError("need at least two (x, y) samples")
     if np.any(x <= 0) or np.any(y <= 0):
         raise ValueError("power-law fitting needs positive samples")
+    from scipy import stats  # deferred: scipy.stats costs ~1 s to import
+
     result = stats.linregress(np.log(x), np.log(y))
     return PowerLawFit(
         exponent=float(result.slope),

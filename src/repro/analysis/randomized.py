@@ -14,7 +14,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.core.simulator import Simulator
 
@@ -63,6 +62,8 @@ def expected_faults(
     """
     if trials < 2:
         raise ValueError("need at least 2 trials for a confidence interval")
+    from scipy import stats  # deferred: scipy.stats costs ~1 s to import
+
     samples = []
     for seed in range(trials):
         strategy = strategy_factory(seed)

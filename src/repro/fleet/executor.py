@@ -346,11 +346,14 @@ class _Endpoint:
         url: str,
         *,
         request_timeout_s: float,
+        poll_s: float,
         breaker_threshold: int,
         breaker_reset_s: float,
     ):
         self.url = url.rstrip("/")
-        self.client = ServiceClient(self.url, timeout_s=request_timeout_s)
+        self.client = ServiceClient(
+            self.url, timeout_s=request_timeout_s, wait_s=poll_s
+        )
         self.breaker = CircuitBreaker(
             f"fleet:{self.url}",
             failure_threshold=breaker_threshold,
@@ -375,11 +378,14 @@ class FleetExecutor:
     1. pick the healthiest endpoint — breaker permits, fewest in-flight
        replicas, per-endpoint in-flight cap (which keeps the server's
        admission queue shallow, so Retry-After hints stay honest);
-    2. submit as a ``replica`` job and poll; after ``hedge_after_s`` of
-       no terminal state, **hedge**: submit the same replica to a second
-       healthy endpoint and let the first terminal result win (safe:
-       results are deterministic, and per-endpoint fingerprint dedup
-       collapses re-submissions to the same endpoint);
+    2. submit as a ``replica`` job and long-poll its status, each request
+       held by the server for up to ``poll_s`` (a submission answered
+       from the endpoint's dedup index is already terminal and needs no
+       poll); after ``hedge_after_s`` of no terminal state, **hedge**:
+       submit the same replica to a second healthy endpoint and let the
+       first terminal result win (safe: results are deterministic, and
+       per-endpoint fingerprint dedup collapses re-submissions to the
+       same endpoint);
     3. transport failures mark the endpoint (breaker) and the replica
        fails over elsewhere, charged to an infrastructure budget;
        service-reported ``FAILED`` charges the work ``retries`` budget;
@@ -415,10 +421,17 @@ class FleetExecutor:
         urls = [str(u) for u in endpoints]
         if not urls:
             raise ValueError("FleetExecutor needs at least one endpoint")
+        if not 0 <= poll_s < request_timeout_s:
+            raise ValueError(
+                f"poll_s must be >= 0 and below request_timeout_s="
+                f"{request_timeout_s} (the server holds each status request "
+                f"for up to poll_s), got {poll_s}"
+            )
         self.endpoints = [
             _Endpoint(
                 url,
                 request_timeout_s=request_timeout_s,
+                poll_s=poll_s,
                 breaker_threshold=breaker_threshold,
                 breaker_reset_s=breaker_reset_s,
             )
@@ -685,11 +698,14 @@ class FleetExecutor:
                     False,
                 )
             endpoint.breaker.record_success()
+            if submitted["state"] in TERMINAL_STATES:
+                return submitted, endpoint, False  # served from dedup
             candidates.append((endpoint, submitted["id"]))
             started = time.monotonic()
             hedged = False
             while True:
-                if time.monotonic() >= deadline:
+                round_started = time.monotonic()
+                if round_started >= deadline:
                     # Let the outer loop convert this into the deadline
                     # ERROR outcome.
                     raise EndpointDown(
@@ -737,7 +753,12 @@ class FleetExecutor:
                             charged.append(hedge_ep)
                             candidates.append((hedge_ep, dup["id"]))
                             hedged = True
-                time.sleep(self.poll_s)
+                # Each status request waits up to poll_s on the server; one
+                # that answers early (a closing store) must not make this
+                # loop spin.
+                idle_s = self.poll_s - (time.monotonic() - round_started)
+                if idle_s > 0:
+                    time.sleep(idle_s)
         finally:
             for charged_ep in charged:
                 with charged_ep.lock:

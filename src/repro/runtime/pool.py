@@ -15,7 +15,10 @@ job per call pays a full fork/spawn on *every* job.  The
   the pool is retired and a fresh one is probed with a trivial task
   before taking traffic (bounding leaked-state / memory-drift exposure,
   the classic ``maxtasksperchild`` discipline); a pool that was rebuilt
-  after a crash is probed the same way;
+  after a crash is probed the same way.  The recycle runs between jobs
+  (:meth:`~WarmWorkerPool.recycle_if_due`, or first thing in the next
+  :meth:`~WarmWorkerPool.run_one`), never before the job that made it
+  due has returned its value;
 * **typed failure** — an exhausted retry budget raises
   :class:`WorkerJobFailed` carrying the attempt count and the *last
   worker-raised* error with its remote traceback (an infrastructure
@@ -154,6 +157,20 @@ class WarmWorkerPool:
         """Force a graceful recycle (rarely needed outside tests)."""
         self._recycle(crashed=False)
 
+    def recycle_if_due(self) -> bool:
+        """Recycle now if ``recycle_after`` jobs have completed since the
+        last one; ``True`` when it did.  The owner calls this between
+        jobs, after delivering the previous result, so a recycle costs
+        idle time instead of delaying a result."""
+        with self._lock:
+            due = (
+                self._pool is not None
+                and self._jobs_since_recycle >= self.recycle_after
+            )
+        if due:
+            self._recycle(crashed=False)
+        return due
+
     def close(self) -> None:
         with self._lock:
             self._closed = True
@@ -187,6 +204,7 @@ class WarmWorkerPool:
         """
         if not 0.0 <= jitter <= 1.0:
             raise ValueError(f"jitter must be in [0, 1], got {jitter}")
+        self.recycle_if_due()  # one the owner left pending
         last_real_error: str | None = None
         error = "never attempted"
         for attempt in range(retries + 1):
@@ -211,9 +229,6 @@ class WarmWorkerPool:
                 with self._lock:
                     self._jobs_done += 1
                     self._jobs_since_recycle += 1
-                    due = self._jobs_since_recycle >= self.recycle_after
-                if due:
-                    self._recycle(crashed=False)
                 return value, attempt + 1
             if attempt < retries and backoff_s > 0:
                 sleep_s = backoff_s * (2**attempt)

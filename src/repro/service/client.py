@@ -12,6 +12,9 @@ into typed exceptions, so callers can implement honest retry loops::
         ...
     result = client.wait(job["id"], timeout_s=60.0)
 
+:meth:`ServiceClient.wait` long-polls (``GET /jobs/<id>?wait_s=S``): the
+server holds each reply until the job is terminal or ``S`` seconds pass,
+so the record comes back as soon as the job finishes.
 :meth:`ServiceClient.submit_and_wait` packages exactly that loop —
 bounded retries honouring the server's ``Retry-After`` hints — for
 clients that just want the answer.
@@ -112,11 +115,29 @@ class FleetTimeout(TimeoutError):
 
 
 class ServiceClient:
-    """Minimal blocking client for one service instance."""
+    """Minimal blocking client for one service instance.
 
-    def __init__(self, base_url: str, *, timeout_s: float = 10.0):
+    ``wait_s`` makes :meth:`status` a long-poll: the server holds each
+    reply until the job is terminal or ``wait_s`` seconds pass.  ``None``
+    (the default) answers at once.  It must be below ``timeout_s``, which
+    bounds every request including the server's wait.
+    """
+
+    def __init__(
+        self,
+        base_url: str,
+        *,
+        timeout_s: float = 10.0,
+        wait_s: float | None = None,
+    ):
+        if wait_s is not None and not 0 <= wait_s < timeout_s:
+            raise ValueError(
+                f"wait_s must be >= 0 and below timeout_s={timeout_s}, "
+                f"got {wait_s}"
+            )
         self.base_url = base_url.rstrip("/")
         self.timeout_s = timeout_s
+        self.wait_s = wait_s
 
     # -- transport ---------------------------------------------------------
 
@@ -234,8 +255,15 @@ class ServiceClient:
             headers=headers,
         )
 
+    def _job(self, job_id: str, wait_s: float | None) -> dict:
+        """GET one job record, held by the server for up to ``wait_s``
+        seconds until the job is terminal (no wait when falsy)."""
+        query = f"?wait_s={wait_s:g}" if wait_s else ""
+        return self._request("GET", f"/jobs/{job_id}{query}")
+
     def status(self, job_id: str) -> dict:
-        return self._request("GET", f"/jobs/{job_id}")
+        """The job's record, long-polled for the client's ``wait_s``."""
+        return self._job(job_id, self.wait_s)
 
     def jobs(self) -> list[dict]:
         return self._request("GET", "/jobs")["jobs"]
@@ -243,17 +271,32 @@ class ServiceClient:
     def wait(
         self, job_id: str, *, timeout_s: float = 60.0, poll_s: float = 0.2
     ) -> dict:
-        """Poll until ``job_id`` is terminal; raises :class:`JobTimeout`."""
+        """Long-poll until ``job_id`` is terminal; raises :class:`JobTimeout`.
+
+        Each request waits on the server for up to ``poll_s`` seconds,
+        never past ``timeout_s``, so the record returns as soon as the job
+        finishes.  ``poll_s`` must be below the client's ``timeout_s``.
+        """
+        if not 0 < poll_s < self.timeout_s:
+            raise ValueError(
+                f"poll_s must be > 0 and below timeout_s={self.timeout_s}, "
+                f"got {poll_s}"
+            )
         deadline = time.monotonic() + timeout_s
         while True:
-            record = self.status(job_id)
+            started = time.monotonic()
+            window_s = min(poll_s, max(0.0, deadline - started))
+            record = self._job(job_id, window_s)
             if record["state"] in TERMINAL_STATES:
                 return record
-            if time.monotonic() >= deadline:
+            now = time.monotonic()
+            if now >= deadline:
                 raise JobTimeout(
                     f"job {job_id} still {record['state']} after {timeout_s}s"
                 )
-            time.sleep(poll_s)
+            # A server that answers before the window ends (one shutting
+            # down) must not turn this loop into a busy spin.
+            time.sleep(max(0.0, min(started + poll_s, deadline) - now))
 
     def submit_and_wait(
         self,

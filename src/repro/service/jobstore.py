@@ -33,6 +33,10 @@ a single record) and older segments are compacted away, so recovery
 replays a bounded tail no matter how many jobs the store has ever seen.
 The ``restore`` event type is additive — the fingerprint stays
 ``repro-jobstore-v1`` and pre-snapshot journals open unchanged.
+
+:meth:`JobStore.wait_terminal` is the long-poll behind
+``GET /jobs/<id>?wait_s=S``: a condition on the store's lock, notified
+by every terminal transition and by :meth:`JobStore.close`.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from __future__ import annotations
 import threading
 import time
 
-from repro.store import DurableLog
+from repro.store import DurableLog, Serialized
 from repro.service.jobs import TERMINAL_STATES, JobRecord, JobSpec
 
 __all__ = ["IllegalTransition", "JobStore", "UnknownJob"]
@@ -66,7 +70,13 @@ class JobStore:
 
     def __init__(self, path, *, snapshot_every: int | None = DEFAULT_SNAPSHOT_EVERY):
         self._lock = threading.RLock()
+        #: Notified on every terminal transition and on close.
+        self._changed = threading.Condition(self._lock)
+        self._closed = False
         self._jobs: dict[str, JobRecord] = {}
+        #: job id -> the snapshot restore value of a terminal job,
+        #: serialised once; dropped whenever the job changes.
+        self._serialized: dict[str, Serialized] = {}
         #: fingerprint -> job id of a successfully completed job.
         self._completed_by_fingerprint: dict[str, str] = {}
         self._seq = 0
@@ -104,10 +114,18 @@ class JobStore:
         the max-seq scan are unchanged.
         """
         del items  # the in-memory table already reflects every event
-        compacted = [
-            [[i, "restore"], {"type": "restore", "record": record.to_dict()}]
-            for i, record in enumerate(self._jobs.values(), start=1)
-        ]
+        compacted = []
+        for i, record in enumerate(self._jobs.values(), start=1):
+            restore = self._serialized.get(record.id)
+            if restore is None:
+                restore = Serialized(
+                    {"type": "restore", "record": record.to_dict()}
+                )
+                if record.terminal:
+                    # Unchanged from here on, so every later snapshot
+                    # reuses this text instead of serialising the job.
+                    self._serialized[record.id] = restore
+            compacted.append([[i, "restore"], restore])
         compacted.append([[self._seq, "seq"], {"type": "seq"}])
         return compacted
 
@@ -136,6 +154,7 @@ class JobStore:
             record = self._jobs.get(event["id"])
             if record is None:  # foreign tail; submit line lost pre-v1 only
                 return
+            self._serialized.pop(record.id, None)
             record.state = event["state"]
             record.result = event.get("result")
             record.error = event.get("error")
@@ -160,6 +179,7 @@ class JobStore:
         elif etype == "event":
             record = self._jobs.get(event["id"])
             if record is not None:
+                self._serialized.pop(record.id, None)
                 entry = dict(event["detail"])
                 entry.setdefault("t", event["t"])
                 record.events.append(entry)
@@ -215,6 +235,7 @@ class JobStore:
                     "attempts": record.attempts if attempts is None else attempts,
                 }
             )
+            self._serialized.pop(job_id, None)
             record.state = state
             record.result = result
             record.error = error
@@ -227,6 +248,7 @@ class JobStore:
                     self._completed_by_fingerprint[
                         record.spec.fingerprint
                     ] = record.id
+                self._changed.notify_all()
             return record
 
     def log_event(self, job_id: str, event: str, **detail) -> None:
@@ -239,6 +261,7 @@ class JobStore:
             self._append(
                 {"type": "event", "id": job_id, "t": entry["t"], "detail": entry}
             )
+            self._serialized.pop(job_id, None)
             record.events.append(entry)
 
     # -- queries -----------------------------------------------------------
@@ -248,6 +271,20 @@ class JobStore:
             record = self._jobs.get(job_id)
             if record is None:
                 raise UnknownJob(job_id)
+            return record
+
+    def wait_terminal(self, job_id: str, timeout_s: float) -> JobRecord:
+        """The job's record once it is terminal or ``timeout_s`` has
+        passed, whichever comes first; at once if the store is closed.
+        An unknown id raises :class:`UnknownJob` without waiting."""
+        with self._changed:
+            record = self._jobs.get(job_id)
+            if record is None:
+                raise UnknownJob(job_id)
+            if timeout_s > 0:
+                self._changed.wait_for(
+                    lambda: record.terminal or self._closed, timeout_s
+                )
             return record
 
     def jobs(self) -> list[JobRecord]:
@@ -292,7 +329,10 @@ class JobStore:
             self._journal.sync()
 
     def close(self) -> None:
+        """Close the journal and release every :meth:`wait_terminal`."""
         with self._lock:
+            self._closed = True
+            self._changed.notify_all()
             self._journal.close()
 
     def __enter__(self) -> "JobStore":

@@ -32,7 +32,9 @@ taking the server down.  Around that core:
   timeout.
 
 :class:`ServiceHTTPServer` wraps the engine in a stdlib threaded HTTP
-server (``/healthz``, ``/readyz``, ``/jobs``); :func:`serve` is the
+server (``/healthz``, ``/readyz``, ``/jobs``; ``GET /jobs/<id>?wait_s=S``
+long-polls, holding its reply until the job is terminal or ``S`` seconds
+pass, at most :data:`MAX_STATUS_WAIT_S`); :func:`serve` is the
 ``python -m repro serve`` entry point gluing both to SIGTERM/SIGINT via
 :class:`repro.runtime.drain.DrainSignal`.  Endpoint and lifecycle
 semantics are documented in docs/SERVICE.md.
@@ -44,6 +46,7 @@ import json
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import parse_qs
 
 from repro._util import repro_version
 from repro.runtime.breaker import CircuitBreaker, CircuitOpen
@@ -57,6 +60,7 @@ from repro.service.tenancy import QuotaExceeded, TenantRegistry
 
 __all__ = [
     "DEADLINE_HEADER",
+    "MAX_STATUS_WAIT_S",
     "JobService",
     "ServiceDraining",
     "ServiceHTTPServer",
@@ -67,6 +71,10 @@ __all__ = [
 #: Header wins over the body field so proxies/executors can tighten a
 #: forwarded request without re-encoding its body.
 DEADLINE_HEADER = "X-Repro-Deadline-At"
+
+#: Longest a ``GET /jobs/<id>?wait_s=S`` holds its reply; a larger ``S``
+#: is clamped to this.
+MAX_STATUS_WAIT_S = 30.0
 
 #: Sentinel that wakes a worker thread for immediate exit (hard stop).
 _STOP = object()
@@ -366,6 +374,12 @@ class JobService:
                         self.tenants.release(record.spec.tenant)
                     except Exception:
                         pass
+                try:
+                    # The job is recorded (and any long-poll answered),
+                    # so a due recycle delays no result.
+                    pool.recycle_if_due()
+                except Exception:  # the next run_one retries it
+                    pass
         finally:
             pool.close()
 
@@ -545,6 +559,24 @@ class _BodyTooLarge(ValueError):
         )
 
 
+def _status_wait_s(query: str) -> float:
+    """The ``wait_s`` of a job-status query string: 0 when absent,
+    clamped to :data:`MAX_STATUS_WAIT_S`; ``ValueError`` unless it is a
+    number >= 0."""
+    values = parse_qs(query, keep_blank_values=True).get("wait_s")
+    if not values:
+        return 0.0
+    try:
+        wait_s = float(values[-1])
+        if not wait_s >= 0:  # negative or NaN
+            raise ValueError
+    except ValueError:
+        raise ValueError(
+            f"wait_s must be a number >= 0, got {values[-1]!r}"
+        ) from None
+    return min(wait_s, MAX_STATUS_WAIT_S)
+
+
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     #: Set by ServiceHTTPServer.
@@ -590,22 +622,28 @@ class _Handler(BaseHTTPRequestHandler):
     # -- routes ------------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
+        path, _, query = self.path.partition("?")
         try:
-            if self.path == "/healthz":
+            if path == "/healthz":
                 self._send_json(200, self.service.health())
-            elif self.path == "/readyz":
+            elif path == "/readyz":
                 ready, payload = self.service.readiness()
                 self._send_json(200 if ready else 503, payload)
-            elif self.path == "/jobs":
+            elif path == "/jobs":
                 jobs = [
                     record.to_dict(with_events=False)
                     for record in self.service.store.jobs()
                 ]
                 self._send_json(200, {"jobs": jobs})
-            elif self.path.startswith("/jobs/"):
-                job_id = self.path[len("/jobs/"):]
+            elif path.startswith("/jobs/"):
+                job_id = path[len("/jobs/"):]
                 try:
-                    record = self.service.store.get(job_id)
+                    wait_s = _status_wait_s(query)
+                except ValueError as exc:
+                    self._send_json(400, {"error": str(exc)})
+                    return
+                try:
+                    record = self.service.store.wait_terminal(job_id, wait_s)
                 except KeyError:
                     self._send_json(404, {"error": f"unknown job {job_id!r}"})
                     return

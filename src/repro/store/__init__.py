@@ -20,6 +20,7 @@ from repro.store.durable import (
     KILL_POINTS,
     DurableLog,
     JournalMismatch,
+    Serialized,
     record_crc,
     snapshot_checksum,
 )
@@ -37,6 +38,7 @@ __all__ = [
     "FsckIssue",
     "FsckReport",
     "JournalMismatch",
+    "Serialized",
     "atomic_replace",
     "atomic_write_json",
     "atomic_write_text",

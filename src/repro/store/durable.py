@@ -73,6 +73,7 @@ __all__ = [
     "KILL_POINTS",
     "SEGMENT_VERSION",
     "SNAPSHOT_VERSION",
+    "Serialized",
     "record_crc",
     "snapshot_checksum",
 ]
@@ -120,6 +121,64 @@ def snapshot_checksum(body: dict) -> str:
     ).hexdigest()
 
 
+class Serialized:
+    """A snapshot item value together with its canonical JSON text
+    (``json.dumps(value, sort_keys=True)``).
+
+    A ``compact_items`` hook may return these instead of plain values, so
+    a value that has not changed since the last snapshot is not
+    serialised again: consumers cache one per unchanged record.  The
+    log keeps :attr:`value` in :attr:`DurableLog.completed` and writes
+    :attr:`text`.  Treat both as immutable.
+    """
+
+    __slots__ = ("value", "text")
+
+    def __init__(self, value):
+        self.value = value
+        self.text = json.dumps(value, sort_keys=True)
+
+
+#: Stands in for a :class:`Serialized` value (or the items) while the rest
+#: of a snapshot is encoded in one ``json.dumps``; the marker's JSON text is
+#: then replaced by the real text.
+_HOLE = "\x00repro.durable.hole\x00"
+_HOLE_JSON = json.dumps(_HOLE)
+
+
+def _items_json(items) -> str:
+    """``json.dumps(items, sort_keys=True)`` for ``[key, value]`` pairs
+    whose values may be :class:`Serialized`: one encoding pass for the
+    rest, with each stored text spliced into its place."""
+    texts = [v.text for _, v in items if isinstance(v, Serialized)]
+    parts = json.dumps(
+        [[k, _HOLE if isinstance(v, Serialized) else v] for k, v in items],
+        sort_keys=True,
+    ).split(_HOLE_JSON)
+    if len(parts) != len(texts) + 1:
+        # The marker also occurs inside a key or a plain value.
+        return "[" + ", ".join(
+            f"[{json.dumps(k, sort_keys=True)}, "
+            + (v.text if isinstance(v, Serialized)
+               else json.dumps(v, sort_keys=True))
+            + "]"
+            for k, v in items
+        ) + "]"
+    spliced = [""] * (2 * len(texts) + 1)
+    spliced[0::2] = parts
+    spliced[1::2] = texts
+    return "".join(spliced)
+
+
+def _around_items(header: dict) -> tuple:
+    """``json.dumps({**header, "items": items}, sort_keys=True)`` for
+    scalar header values, as the text before and after the items'."""
+    text = json.dumps(dict(header, items=_HOLE), sort_keys=True)
+    # Only sha256 (hex) and snapshot (int) sort after "items".
+    head, _, tail = text.rpartition(_HOLE_JSON)
+    return head, tail
+
+
 def _freeze(key):
     """JSON round-trips tuples to lists; normalise for dict lookup."""
     return tuple(key) if isinstance(key, list) else key
@@ -151,6 +210,8 @@ class DurableLog:
     pair list as it is snapshotted — event-sourced consumers (the job
     store) use it to collapse a job's event history into one restore
     record, which is what turns bounded *replay* into bounded *state*.
+    Its values may be :class:`Serialized`, so records that did not
+    change since the last snapshot are not serialised again.
 
     After open, :attr:`replayed` is the number of records read back from
     segment files (the recovery cost a snapshot bounds) and
@@ -189,6 +250,9 @@ class DurableLog:
         self.gen = 0
         self._active_base = 0   # global index of the active segment's 1st record
         self._snap_count = 0    # record count covered by the newest snapshot
+        #: Snapshot file name -> the record count it covers, for the
+        #: snapshots this log has read or written (spares _prune a parse).
+        self._snap_counts: dict = {}
         self._offset = 0        # durable byte length of the active segment
         self._fh = None
         self._open()
@@ -268,6 +332,7 @@ class DurableLog:
                 )
             for key, value in items:
                 self.completed[_freeze(key)] = value
+            self._snap_counts[snap.name] = count
             self.count = count
             self.gen = gen
             self._snap_count = count
@@ -512,25 +577,39 @@ class DurableLog:
         fsync_dir(self.path.parent)
         chaos.maybe_kill("durable.seal")
 
-        # Phase 2 — write the snapshot to a temp file and fsync it.
+        # Phase 2 — write the snapshot to a temp file and fsync it.  The
+        # items are serialised once, canonically, and that one text is
+        # both checksummed and written (snapshot_checksum of the parsed
+        # file gives the same digest).
         items = [[_thaw(k), v] for k, v in self.completed.items()]
         if self._compact_items is not None:
             items = self._compact_items(items)
-            self.completed = {_freeze(k): v for k, v in items}
-        body = {
+            self.completed = {
+                _freeze(k): v.value if isinstance(v, Serialized) else v
+                for k, v in items
+            }
+        items_text = _items_json(items).encode("utf-8")
+        header = {
             "snapshot": SNAPSHOT_VERSION,
             "fingerprint": self.fingerprint,
             "gen": self.gen + 1,
             "count": self.count,
-            "items": items,
         }
-        body["sha256"] = snapshot_checksum(body)
+        head, tail = _around_items(header)
+        digest = hashlib.sha256(head.encode("utf-8"))
+        digest.update(items_text)
+        digest.update(tail.encode("utf-8"))
+        header["sha256"] = digest.hexdigest()
+        head, tail = _around_items(header)
         snap = self.path.with_name(f"{self.path.name}.{self.gen + 1:06d}.snap")
         tmp = snap.with_name(snap.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(body))
+        with open(tmp, "wb") as fh:
+            fh.write(head.encode("utf-8"))
+            fh.write(items_text)
+            fh.write(tail.encode("utf-8"))
             fh.flush()
             os.fsync(fh.fileno())
+        self._snap_counts[snap.name] = self.count
         chaos.maybe_kill("durable.snap-write")
 
         # Phase 3 — publish the snapshot: rename + parent-dir fsync.
@@ -567,11 +646,15 @@ class DurableLog:
             # the sole snapshot would otherwise be unrecoverable.
             floors = []
             for snap in keep:
-                try:
-                    body = json.loads(snap.read_text(encoding="utf-8"))
-                    floors.append(int(body["count"]))
-                except (OSError, ValueError, KeyError, TypeError):
-                    floors.append(0)  # damaged snapshot covers nothing
+                count = self._snap_counts.get(snap.name)
+                if count is None:
+                    try:
+                        body = json.loads(snap.read_text(encoding="utf-8"))
+                        count = self._snap_counts[snap.name] = int(
+                            body["count"])
+                    except (OSError, ValueError, KeyError, TypeError):
+                        count = 0  # damaged snapshot covers nothing
+                floors.append(count)
             floor = min(floors)
             for base, end, path in self._segment_paths():
                 if end <= floor:

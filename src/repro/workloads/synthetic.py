@@ -9,10 +9,14 @@ are seeded and deterministic.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.core.request import Workload
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "uniform_workload",
@@ -172,6 +176,8 @@ def access_graph_workload(
     """
     rng = _rng(seed)
     if graph is None:
+        import networkx as nx  # deferred: only the graph walks need it
+
         graph = nx.random_regular_graph(
             degree, nodes, seed=int(rng.integers(0, 2**31))
         )
@@ -218,6 +224,8 @@ def multi_pointer_graph_workload(
     (cores genuinely share pages), exercising the simulator's in-flight
     semantics.
     """
+    import networkx as nx  # deferred: only the graph walks need it
+
     rng = _rng(seed)
     graph = nx.random_regular_graph(
         degree, nodes, seed=int(rng.integers(0, 2**31))

@@ -20,7 +20,7 @@ from repro.fleet import (
     run_sweep,
 )
 from repro.runtime.chaos import ChaosConfig, should_inject
-from repro.service import JobService, ServiceHTTPServer
+from repro.service import JobService, ServiceClient, ServiceHTTPServer
 
 pytestmark = [pytest.mark.fleet, pytest.mark.service]
 
@@ -112,6 +112,39 @@ class TestServiceExecutor:
             http.stop()
             service.stop()
 
+    def test_dedup_hit_skips_the_status_poll(self, tmp_path, monkeypatch):
+        """A resubmitted seed is answered from the endpoint's dedup index
+        in the submit response; the dispatcher takes it from there."""
+        service, http = boot_endpoint(tmp_path, "solo")
+        try:
+            seeds = list(range(6))
+            with ServiceExecutor(http.url, poll_s=0.02) as ex:
+                first = run_sweep(TASK, seeds, executor=ex)
+            status_calls = []
+            original = ServiceClient.status
+
+            def counted(client, job_id):
+                status_calls.append(job_id)
+                return original(client, job_id)
+
+            monkeypatch.setattr(ServiceClient, "status", counted)
+            with ServiceExecutor(http.url, poll_s=0.02) as ex:
+                again = run_sweep(TASK, seeds, executor=ex)
+            assert first.ok and again.ok
+            assert summaries_equal(first, again)
+            assert status_calls == []
+        finally:
+            http.stop()
+            service.stop()
+
+    def test_rejects_a_poll_window_the_request_cannot_outlast(self):
+        with pytest.raises(ValueError, match="poll_s"):
+            ServiceExecutor(
+                "http://127.0.0.1:1", poll_s=5.0, request_timeout_s=5.0
+            )
+        with pytest.raises(ValueError, match="poll_s"):
+            FleetExecutor(["http://127.0.0.1:1"], poll_s=-1.0)
+
 
 class TestFleetExecutor:
     def test_spreads_work_and_matches_local(self, two_endpoints):
@@ -141,6 +174,35 @@ class TestFleetExecutor:
         finally:
             http.stop()
             service.stop()
+
+    def test_hedges_a_straggler_onto_the_other_endpoint(self, tmp_path):
+        """Endpoint A accepts work but never runs it (its workers never
+        start); every replica it gets is hedged to B, and B's result
+        wins."""
+        straggler = JobService(tmp_path / "a.jsonl", workers=1)
+        straggler_http = ServiceHTTPServer(straggler).start()
+        service_b, http_b = boot_endpoint(tmp_path, "b")
+        urls = [straggler_http.url, http_b.url]
+        seeds = list(range(4))
+        try:
+            with fast_fleet(urls, hedge_after_s=0.2) as ex:
+                fleet = run_sweep(TASK, seeds, executor=ex)
+                inflight = {s["url"]: s["inflight"] for s in ex.snapshot()}
+        finally:
+            for http, service in (
+                (straggler_http, straggler),
+                (http_b, service_b),
+            ):
+                http.stop()
+                service.stop()
+        local = run_sweep(TASK, seeds, executor=LocalThreadExecutor())
+        assert fleet.ok, fleet.failed_seeds
+        assert summaries_equal(fleet, local)
+        # The first dispatch breaks the tie towards A, so at least one
+        # replica straggled there and was hedged.
+        assert any(o.hedged for o in fleet.outcomes.values())
+        assert {o.endpoint for o in fleet.outcomes.values()} == {urls[1]}
+        assert inflight == {url: 0 for url in urls}
 
     def test_endpoint_killed_mid_sweep(self, two_endpoints):
         (service_a, http_a), (_service_b, http_b) = two_endpoints

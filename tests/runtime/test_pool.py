@@ -71,6 +71,18 @@ class TestRecycling:
             assert stats["recycles"] == 1
             assert stats["generation"] >= 2
 
+    def test_due_recycle_waits_until_the_result_is_returned(self):
+        with WarmWorkerPool(recycle_after=2) as pool:
+            first = pool.run_one(_pid, 0)[0]
+            # The job that makes the recycle due still gets its value
+            # from the old process, before any recycle has run.
+            assert pool.run_one(_pid, 1)[0] == first
+            assert pool.stats()["recycles"] == 0
+            assert pool.recycle_if_due()
+            assert pool.stats()["recycles"] == 1
+            assert not pool.recycle_if_due()
+            assert pool.run_one(_pid, 2)[0] != first
+
     def test_manual_recycle(self):
         with WarmWorkerPool() as pool:
             first = pool.run_one(_pid, 0)[0]

@@ -1,4 +1,8 @@
-"""The journaled job store: durability, replay, exactly-once, dedup."""
+"""The journaled job store: durability, replay, exactly-once, dedup,
+and the terminal-state long-poll."""
+
+import threading
+import time
 
 import pytest
 
@@ -57,6 +61,60 @@ class TestLifecycle:
                 store.get("j-missing")
             with pytest.raises(UnknownJob):
                 store.transition("j-missing", "RUNNING")
+
+
+class TestWaitTerminal:
+    """``wait_terminal`` backs ``GET /jobs/<id>?wait_s=S``."""
+
+    def test_terminal_transition_wakes_the_waiter(self, store_path):
+        with JobStore(store_path) as store:
+            store.submit(make_record(id="j-1"))
+            store.transition("j-1", "RUNNING")
+            finisher = threading.Timer(
+                0.2, store.transition, ("j-1", "DONE"), {"result": {}}
+            )
+            start = time.monotonic()
+            finisher.start()
+            record = store.wait_terminal("j-1", 30.0)
+            finisher.join()
+            assert record.state == "DONE"
+            assert time.monotonic() - start < 10.0
+
+    def test_non_terminal_transition_does_not_end_the_wait(self, store_path):
+        with JobStore(store_path) as store:
+            store.submit(make_record(id="j-1"))
+            threading.Timer(0.05, store.transition, ("j-1", "RUNNING")).start()
+            start = time.monotonic()
+            record = store.wait_terminal("j-1", 0.5)
+            assert record.state == "RUNNING"
+            assert time.monotonic() - start >= 0.5
+
+    def test_zero_timeout_and_unknown_id_answer_at_once(self, store_path):
+        with JobStore(store_path) as store:
+            store.submit(make_record(id="j-1"))
+            assert store.wait_terminal("j-1", 0).state == "QUEUED"
+            start = time.monotonic()
+            with pytest.raises(UnknownJob):
+                store.wait_terminal("j-missing", 30.0)
+            assert time.monotonic() - start < 1.0
+
+    def test_close_releases_waiters_with_the_current_record(self, store_path):
+        store = JobStore(store_path)
+        store.submit(make_record(id="j-1"))
+        seen = []
+        waiter = threading.Thread(
+            target=lambda: seen.append(store.wait_terminal("j-1", 30.0))
+        )
+        start = time.monotonic()
+        waiter.start()
+        time.sleep(0.2)
+        store.close()
+        waiter.join(timeout=10.0)
+        assert not waiter.is_alive()
+        assert time.monotonic() - start < 10.0
+        assert [r.state for r in seen] == ["QUEUED"]
+        # A closed store answers at once.
+        assert store.wait_terminal("j-1", 30.0).state == "QUEUED"
 
 
 class TestReplay:

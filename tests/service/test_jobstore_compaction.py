@@ -74,3 +74,36 @@ def test_snapshots_off_keeps_legacy_single_file(tmp_path):
     with JobStore(path, snapshot_every=0) as store:
         assert store.recovery_stats()["replayed"] == 60
         assert not store.recovery_stats()["from_snapshot"]
+
+
+def test_a_terminal_job_changed_after_a_snapshot_is_snapshotted_anew(tmp_path):
+    # Terminal jobs are serialised once and reused by later snapshots;
+    # an event logged on one afterwards must reach the next snapshot.
+    path = run_jobs(tmp_path / "jobs.jsonl", n=30)
+
+    def more_jobs(store, first):
+        for i in range(first, first + 20):  # 60 events: one snapshot
+            job_id = f"j-{i:012d}"
+            spec = JobSpec(kind="simulate", params={"i": i})
+            store.submit(
+                JobRecord(id=job_id, spec=spec, submitted_at=float(i)))
+            store.transition(job_id, "RUNNING", t=float(i))
+            store.transition(job_id, "DONE", result={"i": i}, t=float(i))
+
+    with JobStore(path, snapshot_every=EVERY) as store:
+        more_jobs(store, 30)  # this snapshot serialises job 3 once
+        store.log_event("j-000000000003", "audited", by="test")
+        more_jobs(store, 50)
+    snaps = sorted(path.parent.glob("jobs.jsonl.*.snap"))
+    newest = json.loads(snaps[-1].read_text())
+    restored = {
+        item[1]["record"]["id"]: item[1]["record"]
+        for item in newest["items"]
+        if item[1]["type"] == "restore"
+    }
+    assert restored["j-000000000003"]["events"][-1]["event"] == "audited"
+    with JobStore(path, snapshot_every=EVERY) as store:
+        assert store.recovery_stats()["from_snapshot"]
+        assert store.get("j-000000000003").events[-1]["event"] == "audited"
+        assert len(store.jobs()) == 70
+        assert not store.non_terminal()

@@ -3,12 +3,17 @@ restart recovery, and the HTTP/client surface (no fault injection here —
 chaos-under-service lives in test_chaos_service.py).
 """
 
+import json
+import threading
 import time
+import urllib.error
+import urllib.request
 
 import pytest
 
 import repro
 from repro.runtime.breaker import CircuitOpen
+from repro.service import server as server_module
 from repro.service import (
     Backpressure,
     JobService,
@@ -315,3 +320,120 @@ class TestHTTPSurface:
         finally:
             http.stop()
             service.stop()
+
+
+def timed_get(url, path):
+    """(HTTP status, JSON payload, seconds) of one raw GET."""
+    start = time.monotonic()
+    try:
+        with urllib.request.urlopen(url + path, timeout=60) as resp:
+            status, body = resp.status, resp.read()
+    except urllib.error.HTTPError as exc:
+        status, body = exc.code, exc.read()
+    return status, json.loads(body), time.monotonic() - start
+
+
+class TestLongPoll:
+    """``GET /jobs/<id>?wait_s=S`` holds its reply until the job is
+    terminal or ``S`` seconds pass."""
+
+    @pytest.fixture
+    def queued(self, tmp_path):
+        """An endpoint whose workers never start, holding one QUEUED job."""
+        service = make_service(tmp_path)
+        http = ServiceHTTPServer(service).start()
+        job = ServiceClient(http.url).submit("simulate", dict(SIM, seed=1))
+        try:
+            yield service, http.url, job["id"]
+        finally:
+            http.stop()
+            service.stop()
+
+    @pytest.mark.parametrize("raw", ["abc", "-1", "nan", ""])
+    def test_bad_wait_s_is_400(self, queued, raw):
+        _service, url, job_id = queued
+        status, payload, _ = timed_get(url, f"/jobs/{job_id}?wait_s={raw}")
+        assert status == 400
+        assert "wait_s" in payload["error"]
+
+    @pytest.mark.parametrize("raw", ["1e9", "inf"])
+    def test_wait_s_over_the_cap_is_clamped(self, queued, monkeypatch, raw):
+        _service, url, job_id = queued
+        monkeypatch.setattr(server_module, "MAX_STATUS_WAIT_S", 0.3)
+        status, payload, seconds = timed_get(
+            url, f"/jobs/{job_id}?wait_s={raw}"
+        )
+        assert status == 200 and payload["state"] == "QUEUED"
+        assert 0.3 <= seconds < 10.0
+
+    def test_unknown_id_is_404_without_waiting(self, queued):
+        _service, url, _job_id = queued
+        status, _payload, seconds = timed_get(url, "/jobs/j-nope?wait_s=20")
+        assert status == 404
+        assert seconds < 5.0
+
+    def test_no_query_answers_at_once(self, queued):
+        _service, url, job_id = queued
+        status, payload, seconds = timed_get(url, f"/jobs/{job_id}")
+        assert status == 200 and payload["state"] == "QUEUED"
+        assert seconds < 5.0
+
+    def test_stop_releases_a_long_poll_on_a_queued_job(self, queued):
+        service, url, job_id = queued
+        client = ServiceClient(url, timeout_s=60.0, wait_s=30.0)
+        seen = []
+        poller = threading.Thread(
+            target=lambda: seen.append(client.status(job_id))
+        )
+        start = time.monotonic()
+        poller.start()
+        time.sleep(0.3)
+        service.stop()
+        poller.join(timeout=20.0)
+        assert not poller.is_alive()
+        assert time.monotonic() - start < 20.0
+        assert [record["state"] for record in seen] == ["QUEUED"]
+
+    def test_terminal_job_answers_at_once_with_its_events(self, tmp_path):
+        service = make_service(tmp_path).start()
+        http = ServiceHTTPServer(service).start()
+        try:
+            client = ServiceClient(http.url)
+            job = client.submit("simulate", dict(SIM, seed=2))
+            client.wait(job["id"], timeout_s=90)
+            status, payload, seconds = timed_get(
+                http.url, f"/jobs/{job['id']}?wait_s=20"
+            )
+            assert status == 200 and payload["state"] == "DONE"
+            assert seconds < 5.0
+            events = [event["event"] for event in payload["events"]]
+            assert events[0] == "submitted" and events[-1] == "done"
+            assert "running" in events and "executed" in events
+        finally:
+            http.stop()
+            service.stop()
+
+    def test_wait_returns_when_the_job_lands(self, tmp_path):
+        """``wait`` long-polls: with an 8 s window the client still sees
+        the result within moments of it landing, not on the next poll."""
+        service = make_service(tmp_path).start()
+        http = ServiceHTTPServer(service).start()
+        try:
+            client = ServiceClient(http.url, timeout_s=30.0)
+            job = client.submit("simulate", dict(SIM, seed=3))
+            final = client.wait(job["id"], timeout_s=90, poll_s=8.0)
+            assert final["state"] == "DONE"
+            assert time.time() - final["finished_at"] < 2.0
+        finally:
+            http.stop()
+            service.stop()
+
+    def test_client_rejects_windows_it_cannot_wait_out(self):
+        with pytest.raises(ValueError):
+            ServiceClient("http://127.0.0.1:1", timeout_s=1.0, wait_s=1.0)
+        with pytest.raises(ValueError):
+            ServiceClient("http://127.0.0.1:1", wait_s=-0.1)
+        client = ServiceClient("http://127.0.0.1:1", timeout_s=1.0)
+        for poll_s in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                client.wait("j-1", poll_s=poll_s)

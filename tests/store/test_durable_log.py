@@ -6,7 +6,12 @@ import warnings
 import pytest
 
 from repro.runtime import chaos
-from repro.store import DurableLog, JournalMismatch, snapshot_checksum
+from repro.store import (
+    DurableLog,
+    JournalMismatch,
+    Serialized,
+    snapshot_checksum,
+)
 
 FP = "test-durable-v1"
 
@@ -168,6 +173,49 @@ class TestSnapshots:
             assert newest.with_name(newest.name + ".corrupt").exists()
         finally:
             log.close()
+
+    def test_snapshot_text_is_the_canonical_json_it_checksums(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        with DurableLog(path, FP, snapshot_every=4) as log:
+            log.record("k", {"b": [1.5, None, "é"], "a": {"y": 1, "x": 2}})
+            fill(log, 8, start=1)
+        snap = sorted(path.parent.glob("j.jsonl.*.snap"))[-1]
+        text = snap.read_text(encoding="utf-8")
+        body = json.loads(text)
+        assert body["sha256"] == snapshot_checksum(body)
+        assert text == json.dumps(body, sort_keys=True)
+
+    def test_serialized_values_are_written_as_given(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+
+        def pre_serialize(items):
+            return [[k, Serialized(v)] for k, v in items]
+
+        with DurableLog(path, FP, snapshot_every=4,
+                        compact_items=pre_serialize) as log:
+            fill(log, 9)
+            # In memory the log keeps values, not their text.
+            assert log.completed == {i: {"v": i * i} for i in range(9)}
+        with DurableLog(path, FP, snapshot_every=4) as log:
+            assert log.recovered_from_snapshot
+            assert log.completed == {i: {"v": i * i} for i in range(9)}
+
+    def test_a_value_holding_the_splice_marker_is_written_exactly(
+            self, tmp_path):
+        from repro.store.durable import _HOLE
+
+        path = tmp_path / "j.jsonl"
+
+        def pre_serialize(items):
+            return [[k, Serialized(v)] if k % 2 else [k, v] for k, v in items]
+
+        with DurableLog(path, FP, snapshot_every=4,
+                        compact_items=pre_serialize) as log:
+            for i in range(9):
+                log.record(i, {"v": _HOLE * i})
+        with DurableLog(path, FP, snapshot_every=4) as log:
+            assert log.recovered_from_snapshot
+            assert log.completed == {i: {"v": _HOLE * i} for i in range(9)}
 
     def test_snapshot_checksum_covers_items(self):
         body = {"snapshot": 1, "count": 2, "items": [[1, 2]]}

@@ -1,7 +1,13 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import main, make_strategy
 from repro.strategies import (
     AdaptiveWorkingSetPartition,
@@ -329,3 +335,22 @@ class TestVerifyCommand:
         case = load_case(saved[0])
         assert case.num_cores <= 3
         assert case.total_requests <= 10
+
+
+def test_cli_import_leaves_scipy_and_networkx_unloaded():
+    """Every ``repro`` command, ``repro serve`` included, imports the CLI;
+    scipy.stats (about a second) and networkx load only where used."""
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    code = (
+        "import sys, repro.cli; "
+        "print(sorted(m for m in ('scipy', 'networkx') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"
