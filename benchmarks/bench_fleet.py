@@ -177,15 +177,22 @@ def main(argv=None) -> int:
             "note": (
                 "replicas/second end-to-end through run_sweep; warm legs "
                 "replay the sweep journal (crash-safe resume), so they "
-                "measure recovery throughput; each remote replica is one "
-                "HTTP job run on the endpoint's warm worker pool (no fork "
-                "per job), and its result reaches the dispatcher through "
-                "a status long-poll as soon as it lands, so the "
-                "service/fleet cells pay per-job HTTP round trips, "
-                "admission, journal appends, queue hand-off and pool IPC "
-                "(perfbench/run.py --trace 1 prints the per-replica "
-                "ledger) — the fleet buys fault tolerance and horizontal "
-                "scale, not single-replica speed"
+                "measure recovery throughput; remote replicas go out in "
+                "seed batches (docs/FLEET.md section 1): each dispatch "
+                "slot's first batch is one replica, later ones carry about "
+                "0.1 s of work but never more than ceil(pending / slots) "
+                "seeds, so the 32 replicas over fleet_x2's 16 dispatch "
+                "slots all stay single-replica jobs and the fleet cells "
+                "measure the single-replica dispatch path (HTTP "
+                "round trips, admission, journal appends, queue hand-off "
+                "and pool IPC on the endpoint's warm worker pool, results "
+                "through a status long-poll; perfbench/run.py --trace 1 "
+                "prints the per-replica ledger); service_x1's 8 slots "
+                "allow batches of 2 once a replica costs under 50 ms of "
+                "client time, and a count on the 2-core host found 4 of "
+                "its 28 dispatches per sweep carrying two seeds — the "
+                "fleet buys fault tolerance and horizontal scale, not "
+                "single-replica speed"
             ),
         },
         "results": results,

@@ -9,7 +9,8 @@ is the pluggable backend that runs them:
     supervised process pool (:func:`repro.runtime.supervisor.supervised_map`)
     — true parallelism, per-replica timeouts, pool-rebuild on crash;
 :class:`ServiceExecutor`
-    one ``repro serve`` endpoint, replicas submitted as ``replica`` jobs;
+    one ``repro serve`` endpoint, replicas submitted in seed batches
+    (a ``replica`` job for one seed, a ``sweep`` job for several);
 :class:`FleetExecutor`
     N endpoints with fleet-grade fault tolerance: per-endpoint circuit
     breakers fed by health probes, Retry-After-honouring backoff with
@@ -18,12 +19,12 @@ is the pluggable backend that runs them:
     survivors.
 
 Every backend routes the replica through the *same* computation —
-:func:`repro.service.executor.run_job` with kind ``replica``, i.e. the
-``simulate_fast`` kernel path — so a sweep's numbers are identical
-whichever executor ran it.  That identity is the fleet acceptance
-criterion, and it is what makes hedging and failover safe: re-running a
-replica anywhere yields the same result, so "first result wins" is
-exactly-once by value.
+:func:`repro.service.executor.run_job`, whose ``replica`` and ``sweep``
+kinds share one per-seed ``simulate_fast`` kernel path — so a sweep's
+numbers are identical whichever executor ran it.  That identity is the
+fleet acceptance criterion, and it is what makes hedging and failover
+safe: re-running a replica anywhere yields the same result, so "first
+result wins" is exactly-once by value.
 
 Failure vocabulary (the matrix in docs/FLEET.md):
 
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import threading
 import time
 from collections import deque
@@ -338,6 +340,77 @@ class LocalProcessExecutor:
 # ---------------------------------------------------------------------------
 
 
+#: Client wall seconds of work one remote dispatch aims to carry.  A
+#: dispatch pays about 11 ms of fixed cost (two HTTP round trips,
+#: admission, journals, queue hand-off, pool IPC) however many seeds it
+#: carries; at this size that stays near 10% of a batch, and a healthy
+#: batch stays far below the default ``hedge_after_s``.
+BATCH_TARGET_S = 0.1
+
+
+def _batch_size(per_replica_s: float | None, pending: int, slots: int) -> int:
+    """Replicas the next dispatch takes: ``floor(BATCH_TARGET_S / s)``
+    at ``s`` wall seconds per replica of the batch that last landed DONE
+    from a job that ran, clamped to ``[1, ceil(pending / slots)]`` so
+    every dispatch slot keeps a share; 1 while there is no estimate."""
+    if per_replica_s is None:
+        return 1
+    share = -(-pending // slots)
+    if per_replica_s <= 0:
+        return max(1, share)
+    return max(1, min(math.floor(BATCH_TARGET_S / per_replica_s), share))
+
+
+def _pop_batch(queue: deque, size: int) -> list[ReplicaJob]:
+    """The head job plus up to ``size - 1`` consecutive ``replica`` jobs
+    whose params differ from it only in a distinct ``seed``."""
+    first = queue.popleft()
+    batch = [first]
+    if first.kind != "replica" or "seed" not in first.params:
+        return batch
+    base = _without_seed(first.params)
+    seeds = {str(first.params["seed"])}
+    while len(batch) < size and queue:
+        job = queue[0]
+        if (
+            job.kind != "replica"
+            or "seed" not in job.params
+            or str(job.params["seed"]) in seeds
+            or _without_seed(job.params) != base
+        ):
+            break
+        batch.append(queue.popleft())
+        seeds.add(str(job.params["seed"]))
+    return batch
+
+
+def _without_seed(params: dict) -> dict:
+    return {k: v for k, v in params.items() if k != "seed"}
+
+
+def _dispatch_spec(batch: list[ReplicaJob]) -> tuple[str, dict]:
+    """The job one batch is submitted as: a batch of one as itself,
+    several seeds as one ``sweep`` job."""
+    if len(batch) == 1:
+        return batch[0].kind, batch[0].params
+    params = _without_seed(batch[0].params)
+    params["seeds"] = [job.params["seed"] for job in batch]
+    return "sweep", params
+
+
+def _fan_out(batch: list[ReplicaJob], result: dict) -> list[dict]:
+    """One ``replica``-shaped result per job of a batch."""
+    if len(batch) == 1:
+        return [result]
+    return [
+        {
+            "faults": result["faults"][str(job.params["seed"])],
+            "makespan": result["makespans"][str(job.params["seed"])],
+        }
+        for job in batch
+    ]
+
+
 class _Endpoint:
     """Dispatcher-side state for one ``repro serve`` instance."""
 
@@ -373,20 +446,26 @@ class _Endpoint:
 class FleetExecutor:
     """Scatter replicas over N service endpoints; survive the endpoints.
 
-    Dispatch policy per replica (see docs/FLEET.md for the matrix):
+    The unit of dispatch is a **batch**: each dispatch slot's first
+    dispatch in a :meth:`run` carries one replica; later ones pop up to
+    :func:`_batch_size` consecutive ``replica`` jobs that differ only in
+    ``seed``.  A batch of one goes out as its own job, a larger one as a
+    ``sweep`` job whose terminal record is fanned out into one outcome
+    per seed.  Dispatch policy per batch (see docs/FLEET.md for the
+    matrix):
 
     1. pick the healthiest endpoint — breaker permits, fewest in-flight
-       replicas, per-endpoint in-flight cap (which keeps the server's
+       dispatches, per-endpoint in-flight cap (which keeps the server's
        admission queue shallow, so Retry-After hints stay honest);
-    2. submit as a ``replica`` job and long-poll its status, each request
+    2. submit the batch's job and long-poll its status, each request
        held by the server for up to ``poll_s`` (a submission answered
        from the endpoint's dedup index is already terminal and needs no
        poll); after ``hedge_after_s`` of no terminal state, **hedge**:
-       submit the same replica to a second healthy endpoint and let the
+       submit the same job to a second healthy endpoint and let the
        first terminal result win (safe: results are deterministic, and
        per-endpoint fingerprint dedup collapses re-submissions to the
        same endpoint);
-    3. transport failures mark the endpoint (breaker) and the replica
+    3. transport failures mark the endpoint (breaker) and the batch
        fails over elsewhere, charged to an infrastructure budget;
        service-reported ``FAILED`` charges the work ``retries`` budget;
        backpressure charges nothing and sleeps the Retry-After hint
@@ -394,9 +473,9 @@ class FleetExecutor:
     4. a background probe thread GETs ``/healthz`` on endpoints whose
        breaker is not CLOSED, so a recovered endpoint rejoins the fleet
        without any replica having to gamble on it first;
-    5. a replica that exhausts a budget or ``replica_deadline_s`` lands
-       as a typed ``ERROR`` outcome — the sweep always terminates, on
-       whatever endpoints survive.
+    5. a batch that exhausts a budget or ``replica_deadline_s`` lands
+       each of its replicas as the same typed ``ERROR`` outcome — the
+       sweep always terminates, on whatever endpoints survive.
     """
 
     kind = "fleet"
@@ -543,29 +622,45 @@ class FleetExecutor:
         queue_lock = threading.Lock()
         outcome_lock = threading.Lock()
         outcomes: dict = {}
+        slots = self.max_inflight * len(self.endpoints)
+        # Of the batch that last landed DONE from a run: a dedup hit or
+        # an ERROR says nothing about what a replica costs.
+        per_replica_s = None
 
         def worker() -> None:
+            nonlocal per_replica_s
+            first = True
             while True:
                 with queue_lock:
                     if not queue:
                         return
-                    job = queue.popleft()
-                try:
-                    outcome = self._run_replica(job)
-                except Exception as exc:  # defence: never lose a replica
-                    outcome = ReplicaOutcome(
-                        job.key,
-                        "ERROR",
-                        error=f"dispatcher error: {_describe_error(exc)}",
+                    size = (
+                        1
+                        if first
+                        else _batch_size(per_replica_s, len(queue), slots)
                     )
+                    batch = _pop_batch(queue, size)
+                first = False
+                started = time.monotonic()
+                try:
+                    landed, ran = self._run_batch(batch)
+                except Exception as exc:  # defence: never lose a replica
+                    error = f"dispatcher error: {_describe_error(exc)}"
+                    landed = [
+                        ReplicaOutcome(job.key, "ERROR", error=error)
+                        for job in batch
+                    ]
+                    ran = False
+                elapsed = time.monotonic() - started
                 with outcome_lock:
-                    outcomes[job.key] = outcome
-                    if on_outcome is not None:
-                        on_outcome(outcome)
+                    if ran:
+                        per_replica_s = elapsed / len(batch)
+                    for outcome in landed:
+                        outcomes[outcome.key] = outcome
+                        if on_outcome is not None:
+                            on_outcome(outcome)
 
-        n_threads = min(
-            len(jobs), self.max_inflight * len(self.endpoints)
-        )
+        n_threads = min(len(jobs), slots)
         threads = [
             threading.Thread(
                 target=worker, name=f"fleet-dispatch-{i}", daemon=True
@@ -578,9 +673,15 @@ class FleetExecutor:
             thread.join()
         return [outcomes[job.key] for job in jobs]
 
-    # -- one replica's life ------------------------------------------------
+    # -- one batch's life --------------------------------------------------
 
-    def _run_replica(self, job: ReplicaJob) -> ReplicaOutcome:
+    def _run_batch(
+        self, batch: list[ReplicaJob]
+    ) -> tuple[list[ReplicaOutcome], bool]:
+        """The batch's outcomes, and whether it landed DONE from a job
+        that ran (not from an endpoint's dedup index)."""
+        kind, params = _dispatch_spec(batch)
+        key = batch[0].key
         deadline = time.monotonic() + self.replica_deadline_s
         work_failures = 0
         infra_failures = 0
@@ -588,18 +689,26 @@ class FleetExecutor:
         hedged_ever = False
         last_error = "never attempted"
 
-        while True:
-            if time.monotonic() >= deadline:
-                return ReplicaOutcome(
+        def failed(error: str, attempts: int, endpoint=None):
+            return [
+                ReplicaOutcome(
                     job.key,
                     "ERROR",
-                    error=(
-                        f"replica deadline {self.replica_deadline_s}s "
-                        f"exceeded (last: {last_error})"
-                    ),
-                    attempts=work_failures + infra_failures,
+                    error=error,
+                    attempts=attempts,
+                    endpoint=endpoint,
                     hedged=hedged_ever,
                 )
+                for job in batch
+            ]
+
+        while True:
+            if time.monotonic() >= deadline:
+                return failed(
+                    f"replica deadline {self.replica_deadline_s}s "
+                    f"exceeded (last: {last_error})",
+                    work_failures + infra_failures,
+                ), False
             endpoint = self._pick_endpoint()
             if endpoint is None:
                 # Every endpoint is open/capped: wait for the probe loop
@@ -608,10 +717,12 @@ class FleetExecutor:
                 time.sleep(min(self.probe_interval_s, 0.2))
                 continue
             try:
-                record, winner, hedged = self._attempt(job, endpoint, deadline)
+                record, winner, hedged, ran = self._attempt(
+                    kind, params, endpoint, deadline
+                )
             except Backpressure as busy:
                 backoff_round += 1
-                self._jitter_sleep(busy.retry_after_s, job.key, backoff_round)
+                self._jitter_sleep(busy.retry_after_s, key, backoff_round)
                 continue
             except EndpointDown as exc:
                 # Transport verdict (includes CorruptResponse): suspect
@@ -619,16 +730,11 @@ class FleetExecutor:
                 last_error = _describe_error(exc)
                 infra_failures += 1
                 if infra_failures > self.infra_retries:
-                    return ReplicaOutcome(
-                        job.key,
-                        "ERROR",
-                        error=(
-                            f"infrastructure retries exhausted "
-                            f"({self.infra_retries}): {last_error}"
-                        ),
-                        attempts=infra_failures,
-                        hedged=hedged_ever,
-                    )
+                    return failed(
+                        f"infrastructure retries exhausted "
+                        f"({self.infra_retries}): {last_error}",
+                        infra_failures,
+                    ), False
                 continue
             hedged_ever = hedged_ever or hedged
             if record["state"] == "FAILED":
@@ -637,27 +743,28 @@ class FleetExecutor:
                 last_error = record.get("error") or "job FAILED"
                 work_failures += 1
                 if work_failures > self.retries:
-                    return ReplicaOutcome(
-                        job.key,
-                        "ERROR",
-                        error=last_error,
-                        attempts=work_failures,
-                        endpoint=winner.url,
-                        hedged=hedged_ever,
-                    )
+                    return failed(last_error, work_failures, winner.url), False
                 continue
             winner.breaker.record_success()
-            return _done_outcome(
-                job,
-                record.get("result") or {},
-                attempts=work_failures + 1,
-                endpoint=winner.url,
-                hedged=hedged_ever,
-            )
+            results = _fan_out(batch, record.get("result") or {})
+            return [
+                _done_outcome(
+                    job,
+                    result,
+                    attempts=work_failures + 1,
+                    endpoint=winner.url,
+                    hedged=hedged_ever,
+                )
+                for job, result in zip(batch, results)
+            ], ran
 
-    def _attempt(self, job: ReplicaJob, endpoint: _Endpoint, deadline: float):
+    def _attempt(
+        self, kind: str, params: dict, endpoint: _Endpoint, deadline: float
+    ):
         """One submission (possibly hedged): returns ``(terminal record,
-        winning endpoint, hedged?)`` or raises Backpressure/EndpointDown.
+        winning endpoint, hedged?, ran?)`` — ``ran`` is False for a
+        record served from the endpoint's dedup index or made up from
+        an HTTP rejection — or raises Backpressure/EndpointDown.
 
         Raises :class:`EndpointDown` only when *every* candidate has
         failed at the transport level — as long as one candidate is
@@ -669,17 +776,17 @@ class FleetExecutor:
         candidates: list[tuple[_Endpoint, str]] = []
 
         def remaining_deadline_s() -> float:
-            """What is left of this replica's overall deadline *now* —
+            """What is left of this batch's overall deadline *now* —
             forwarded on every submission (original and hedge), so a
             resubmitted or hedged attempt can only ever get less time
-            than its originator, and the server can expire a replica
+            than its originator, and the server can expire a batch
             that would outlive the fleet's patience."""
             return max(0.05, deadline - time.monotonic())
 
         try:
             try:
                 submitted = endpoint.client.submit(
-                    job.kind, job.params, deadline_s=remaining_deadline_s()
+                    kind, params, deadline_s=remaining_deadline_s()
                 )
             except Backpressure:
                 raise
@@ -696,10 +803,11 @@ class FleetExecutor:
                     {"state": "FAILED", "error": str(exc)},
                     endpoint,
                     False,
+                    False,
                 )
             endpoint.breaker.record_success()
             if submitted["state"] in TERMINAL_STATES:
-                return submitted, endpoint, False  # served from dedup
+                return submitted, endpoint, False, False  # from dedup
             candidates.append((endpoint, submitted["id"]))
             started = time.monotonic()
             hedged = False
@@ -727,7 +835,7 @@ class FleetExecutor:
                             ) from None
                         continue
                     if record["state"] in TERMINAL_STATES:
-                        return record, cand_ep, hedged
+                        return record, cand_ep, hedged, True
                 if (
                     not hedged
                     and self.hedge_after_s is not None
@@ -740,8 +848,8 @@ class FleetExecutor:
                     if hedge_ep is not None:
                         try:
                             dup = hedge_ep.client.submit(
-                                job.kind,
-                                job.params,
+                                kind,
+                                params,
                                 deadline_s=remaining_deadline_s(),
                             )
                         except (Backpressure, EndpointDown, ServiceError):

@@ -22,7 +22,13 @@ job per call pays a full fork/spawn on *every* job.  The
 * **typed failure** — an exhausted retry budget raises
   :class:`WorkerJobFailed` carrying the attempt count and the *last
   worker-raised* error with its remote traceback (an infrastructure
-  failure never clobbers the diagnosable signal).
+  failure never clobbers the diagnosable signal);
+* **workers die with their owner** — every worker restores the default
+  SIGTERM action (a fork inherits the owner's handlers, e.g. a serving
+  loop's drain latch, which would make it ignore SIGTERM), ignores
+  SIGINT (a terminal's Ctrl-C reaches the whole process group; the owner
+  drains and reaps its workers), and exits once its parent process is
+  gone, so a SIGKILLed server leaves no worker behind.
 
 A pool instance is **single-owner**: one thread calls :meth:`run_one`
 (the job service gives each worker thread its own pool).  :meth:`stats`
@@ -31,8 +37,11 @@ is safe to read from other threads (readiness reporting).
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import random
+import signal
+import sys
 import threading
 import time
 import traceback
@@ -66,6 +75,49 @@ def _describe_exception(exc: BaseException) -> str:
             traceback.format_exception(type(exc), exc, exc.__traceback__)
         ).rstrip()
     return text
+
+
+#: How often a worker checks that the process that forked it is alive.
+_PARENT_POLL_S = 0.5
+
+#: Workers fork from their owner wherever ``fork`` is safe (Linux),
+#: whatever the default start method: from Python 3.14 that default is
+#: ``forkserver``, whose workers are children of a fork server that
+#: lives as long as any of them, so no worker could see its owner die.
+_MP_CONTEXT = (
+    multiprocessing.get_context("fork")
+    if sys.platform.startswith("linux")
+    else None
+)
+
+
+def _exit_when_orphaned(parent_pid: int) -> None:
+    while os.getppid() == parent_pid:
+        time.sleep(_PARENT_POLL_S)
+    os._exit(1)
+
+
+def _init_worker(initializer, initargs: tuple) -> None:
+    """Worker initializer: die with the owner (see module docstring),
+    then run the caller's own initializer.
+
+    The parent is read here, in the worker: it is the owner under
+    ``fork`` and ``spawn``, but the fork server under ``forkserver``
+    (see :data:`_MP_CONTEXT`).  The orphan check polls ``os.getppid()``
+    rather than arming ``PR_SET_PDEATHSIG``, which fires when the
+    forking *thread* exits, not the process.
+    """
+    parent_pid = os.getppid()
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    threading.Thread(
+        target=_exit_when_orphaned,
+        args=(parent_pid,),
+        name="pool-orphan-check",
+        daemon=True,
+    ).start()
+    if initializer is not None:
+        initializer(*initargs)
 
 
 def _health_probe() -> int:
@@ -108,8 +160,9 @@ class WarmWorkerPool:
     def _make_pool(self) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
             max_workers=self.max_workers,
-            initializer=self._initializer,
-            initargs=self._initargs,
+            mp_context=_MP_CONTEXT,
+            initializer=_init_worker,
+            initargs=(self._initializer, self._initargs),
         )
 
     def _ensure_pool(self) -> ProcessPoolExecutor:

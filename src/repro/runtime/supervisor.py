@@ -81,9 +81,9 @@ class SweepError(RuntimeError):
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
     """Tear a pool down even if workers are wedged: cancel what is queued,
     terminate the worker processes, then reap them."""
-    pool.shutdown(wait=False, cancel_futures=True)
-    # _processes is None once the pool has fully shut down on its own.
+    # Snapshot the workers first: shutdown() sets _processes to None.
     processes = list((getattr(pool, "_processes", None) or {}).values())
+    pool.shutdown(wait=False, cancel_futures=True)
     for proc in processes:
         try:
             proc.terminate()
@@ -218,7 +218,18 @@ def supervised_map(
         while pending or inflight:
             while pending and len(inflight) < max_workers:
                 item, attempt = pending.popleft()
-                future = pool.submit(fn, item, attempt)
+                try:
+                    future = pool.submit(fn, item, attempt)
+                except BrokenProcessPool:
+                    # A worker died since the last wait, beside a job that
+                    # finished: this item never ran.  In-flight futures
+                    # fail with the pool and take the rebuild path below.
+                    pending.appendleft((item, attempt))
+                    if inflight:
+                        break
+                    _kill_pool(pool)
+                    pool = make_pool()
+                    continue
                 inflight[future] = (item, attempt, time.monotonic())
             wait_s = None
             if timeout_s is not None:

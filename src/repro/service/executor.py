@@ -23,13 +23,14 @@ Robustness contract per kind:
     the job fingerprint — and therefore the service's dedup store —
     keys on spec content, and a killed worker resumes from the run
     folder's journal on retry instead of recomputing.
-``replica``
-    One seed's simulation — the fleet executor's unit of work
-    (docs/FLEET.md).  Runs through the same
-    :func:`~repro.core.kernels.simulate_fast` path as local
-    :func:`repro.analysis.batch.batch_run` replicas and returns the
-    same ``{"faults", "makespan"}`` pair, which is what makes fleet
-    aggregates bit-identical to local ones.
+``replica`` / ``sweep``
+    One seed's simulation, or one per seed of a ``seeds`` list — the
+    fleet executor's units of work (docs/FLEET.md).  Both run each seed
+    through the same :func:`~repro.core.kernels.simulate_fast` path as
+    local :func:`repro.analysis.batch.batch_run` replicas; a ``replica``
+    returns the ``{"faults", "makespan"}`` pair, a ``sweep`` the same
+    numbers keyed by ``str(seed)`` in its ``faults``/``makespans``, which
+    is what makes fleet aggregates bit-identical to local ones.
 
 Chaos composition: every attempt first passes through the ``REPRO_CHAOS``
 hooks keyed by ``("job", id)``, so the existing fault injector can
@@ -208,9 +209,10 @@ def _run_experiment(params: dict) -> dict:
     }
 
 
-def _run_replica(params: dict) -> dict:
-    """One seed's simulation, via the same fast-kernel path as local
-    ``batch_run`` replicas — identical numbers, by construction."""
+def _simulate_seed(params: dict) -> dict:
+    """One seed's ``{"faults", "makespan"}``, via the same fast-kernel
+    path as local ``batch_run`` replicas — identical numbers, by
+    construction."""
     from repro.core.kernels import simulate_fast
 
     workload = _build_workload(params)
@@ -221,30 +223,22 @@ def _run_replica(params: dict) -> dict:
         params.get("tau", _WORKLOAD_DEFAULTS["tau"]),
         strategy,
     )
-    return {
-        "state": "DONE",
-        "result": {"faults": res.total_faults, "makespan": res.makespan},
-    }
+    return {"faults": res.total_faults, "makespan": res.makespan}
+
+
+def _run_replica(params: dict) -> dict:
+    return {"state": "DONE", "result": _simulate_seed(params)}
 
 
 def _run_sweep(params: dict) -> dict:
-    from repro import simulate
-
+    """``_simulate_seed`` once per seed: the fleet's multi-seed batch."""
     seeds = params.get("seeds", [0])
     faults: dict[str, int] = {}
     makespans: dict[str, int] = {}
     for seed in seeds:
-        replica = dict(params, seed=seed)
-        workload = _build_workload(replica)
-        strategy = _build_strategy(replica, workload.num_cores)
-        res = simulate(
-            workload,
-            params.get("cache_size", _WORKLOAD_DEFAULTS["cache_size"]),
-            params.get("tau", _WORKLOAD_DEFAULTS["tau"]),
-            strategy,
-        )
-        faults[str(seed)] = res.total_faults
-        makespans[str(seed)] = res.makespan
+        one = _simulate_seed(dict(params, seed=seed))
+        faults[str(seed)] = one["faults"]
+        makespans[str(seed)] = one["makespan"]
     totals = list(faults.values())
     return {
         "state": "DONE",

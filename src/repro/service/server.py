@@ -724,13 +724,20 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(201, record.to_dict(with_events=False))
 
 
+class _ThreadingHTTPServer(ThreadingHTTPServer):
+    # socketserver listens with a backlog of 5: the kernel drops the SYN
+    # of a seventh simultaneous connect (a fleet opens one per dispatch
+    # slot at once), and the client resends it only after 1 s.
+    request_queue_size = 128
+
+
 class ServiceHTTPServer:
     """The stdlib HTTP front-end bound to one :class:`JobService`."""
 
     def __init__(self, service: JobService, host: str = "127.0.0.1", port: int = 0):
         self.service = service
         handler = type("BoundHandler", (_Handler,), {"service": service})
-        self._httpd = ThreadingHTTPServer((host, port), handler)
+        self._httpd = _ThreadingHTTPServer((host, port), handler)
         self._httpd.daemon_threads = True
         self._thread: threading.Thread | None = None
 

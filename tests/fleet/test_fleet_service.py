@@ -8,19 +8,29 @@ DONE | ERROR, zero duplicates, and aggregate metrics identical to the
 same sweep on a local executor.
 """
 
+import math
 import socket
+import sys
 import threading
+import time
+from collections import Counter, deque
 
 import pytest
 
+import repro
+from repro.core.kernels import kernel_for
 from repro.fleet import (
     FleetExecutor,
     LocalThreadExecutor,
+    ReplicaJob,
     ServiceExecutor,
     run_sweep,
 )
+from repro.fleet import executor as fleet_executor
+from repro.fleet.executor import BATCH_TARGET_S, _batch_size, _pop_batch
 from repro.runtime.chaos import ChaosConfig, should_inject
 from repro.service import JobService, ServiceClient, ServiceHTTPServer
+from repro.service import executor as service_executor
 
 pytestmark = [pytest.mark.fleet, pytest.mark.service]
 
@@ -43,7 +53,7 @@ def summaries_equal(a, b):
     return sa == sb
 
 
-def boot_endpoint(tmp_path, name, *, workers=2):
+def boot_endpoint(tmp_path, name, *, workers=2, **options):
     service = JobService(
         tmp_path / f"{name}.jsonl",
         workers=workers,
@@ -51,6 +61,7 @@ def boot_endpoint(tmp_path, name, *, workers=2):
         backoff_s=0.05,
         jitter=0.0,
         breaker_threshold=1000,  # server-side job breakers not under test
+        **options,
     ).start()
     http = ServiceHTTPServer(service).start()
     return service, http
@@ -225,6 +236,313 @@ class TestFleetExecutor:
         killer.join(timeout=30)
         assert fleet.ok, fleet.failed_seeds
         assert summaries_equal(fleet, local)
+
+
+def dispatched_seeds(service) -> Counter:
+    """How often each seed went out, over the endpoint's replica and
+    sweep jobs."""
+    seeds: Counter = Counter()
+    for record in service.store.jobs():
+        params = record.spec.params
+        seeds.update(params.get("seeds") or [params["seed"]])
+    return seeds
+
+
+@pytest.fixture
+def solo_endpoint(tmp_path):
+    service, http = boot_endpoint(tmp_path, "solo")
+    try:
+        yield service, http
+    finally:
+        http.stop()
+        service.stop()
+
+
+class TestBatchedDispatch:
+    def test_64_seed_sweep_goes_out_in_a_few_batches(
+        self, solo_endpoint, tmp_path
+    ):
+        service, http = solo_endpoint
+        seeds = list(range(64))
+        journal = tmp_path / "sweep.jsonl"
+        with ServiceExecutor(
+            http.url, poll_s=0.02, max_inflight_per_endpoint=2
+        ) as ex:
+            remote = run_sweep(TASK, seeds, executor=ex, journal=journal)
+        local = run_sweep(TASK, seeds, executor=LocalThreadExecutor())
+        assert remote.ok
+        assert summaries_equal(remote, local)
+        jobs = service.store.jobs()
+        assert len(jobs) < 16
+        assert any(record.spec.kind == "sweep" for record in jobs)
+        assert dispatched_seeds(service) == Counter(seeds)
+        assert all(
+            set(o.result) == {"faults", "makespan"}
+            for o in remote.outcomes.values()
+        )
+        with ServiceExecutor(
+            http.url, poll_s=0.02, max_inflight_per_endpoint=2
+        ) as ex:
+            again = run_sweep(TASK, seeds, executor=ex, journal=journal)
+        assert again.resumed == len(seeds)
+        assert summaries_equal(again, local)
+        assert len(service.store.jobs()) == len(jobs)
+
+    def test_resume_dispatches_only_the_holes_in_batches(
+        self, solo_endpoint, tmp_path
+    ):
+        service, http = solo_endpoint
+        seeds = list(range(64))
+        journaled = [seed for seed in seeds if seed % 5 in (0, 3)]
+        holes = [seed for seed in seeds if seed not in journaled]
+        journal = tmp_path / "sweep.jsonl"
+        run_sweep(
+            TASK, journaled, executor=LocalThreadExecutor(), journal=journal
+        )
+        with ServiceExecutor(
+            http.url, poll_s=0.02, max_inflight_per_endpoint=2
+        ) as ex:
+            remote = run_sweep(TASK, seeds, executor=ex, journal=journal)
+        local = run_sweep(TASK, seeds, executor=LocalThreadExecutor())
+        assert remote.ok
+        assert remote.resumed == len(journaled)
+        assert summaries_equal(remote, local)
+        assert dispatched_seeds(service) == Counter(holes)
+        kinds = Counter(record.spec.kind for record in service.store.jobs())
+        assert kinds["sweep"] >= 1
+        assert sum(kinds.values()) < len(holes)
+
+    def test_a_failing_sweep_job_lands_each_seed_once_as_error(
+        self, tmp_path, monkeypatch
+    ):
+        def broken_sweep(params):
+            raise RuntimeError("injected sweep failure")
+
+        # Patched before the endpoint forks its pool workers, so they
+        # inherit it: every multi-seed batch fails, single seeds pass.
+        monkeypatch.setattr(service_executor, "_run_sweep", broken_sweep)
+        service, http = boot_endpoint(tmp_path, "solo")
+        seeds = list(range(32))
+        delivered = []
+        try:
+            with ServiceExecutor(
+                http.url,
+                poll_s=0.02,
+                retries=1,
+                max_inflight_per_endpoint=1,
+            ) as ex:
+                sweep = run_sweep(
+                    TASK,
+                    seeds,
+                    executor=ex,
+                    on_outcome=lambda o: delivered.append(o.key),
+                )
+            in_sweeps = sorted(
+                seed
+                for record in service.store.jobs()
+                if record.spec.kind == "sweep"
+                for seed in record.spec.params["seeds"]
+            )
+        finally:
+            http.stop()
+            service.stop()
+        assert sorted(delivered) == seeds
+        assert in_sweeps, "no multi-seed batch was dispatched"
+        assert list(sweep.failed_seeds) == sorted(set(in_sweeps))
+        for seed in sweep.failed_seeds:
+            outcome = sweep.outcomes[seed]
+            assert outcome.status == "ERROR"
+            assert "injected sweep failure" in outcome.error
+            assert outcome.attempts == 2
+        assert all(
+            sweep.outcomes[seed].ok
+            for seed in seeds
+            if seed not in sweep.failed_seeds
+        )
+
+    def test_dedup_hits_do_not_size_the_batches_that_follow(
+        self, tmp_path, monkeypatch
+    ):
+        """A sweep rerun without a journal is answered from the
+        endpoint's dedup index in one round trip per seed.  Sized from
+        those landings, the next batch would carry ~15 seeds and outrun
+        a job timeout that fits a few; every seed must still be DONE."""
+        simulate_seed = service_executor._simulate_seed
+
+        def slow_seed(params):
+            time.sleep(0.08)
+            return simulate_seed(params)
+
+        # Patched before the endpoint forks its pool workers, so they
+        # inherit it: a seed costs 80 ms, a job may run 0.5 s.
+        monkeypatch.setattr(service_executor, "_simulate_seed", slow_seed)
+        service, http = boot_endpoint(tmp_path, "solo", job_timeout_s=0.5)
+        seeds = list(range(16))
+        sweeps = []
+        try:
+            for _ in range(2):
+                with ServiceExecutor(
+                    http.url, poll_s=0.02, max_inflight_per_endpoint=1
+                ) as ex:
+                    sweeps.append(run_sweep(TASK, seeds, executor=ex))
+        finally:
+            http.stop()
+            service.stop()
+        first, rerun = sweeps
+        assert first.ok, first.failed_seeds
+        assert rerun.ok, rerun.failed_seeds
+        assert summaries_equal(first, rerun)
+
+    def test_experiment_jobs_stay_one_job_each(
+        self, solo_endpoint, monkeypatch
+    ):
+        service, http = solo_endpoint
+        # Offer every pop a batch of 8: only replica jobs may take it.
+        monkeypatch.setattr(
+            fleet_executor, "_batch_size", lambda *args: 8
+        )
+        eids = ["E3", "E5", "E10", "E11", "E13", "E16"]
+        jobs = [
+            ReplicaJob(eid, {"id": eid, "scale": "small"}, kind="experiment")
+            for eid in eids
+        ]
+        with fast_fleet([http.url], max_inflight_per_endpoint=1) as ex:
+            outcomes = ex.run(jobs)
+        assert [o.key for o in outcomes] == eids
+        assert all(o.ok and o.result["id"] == o.key for o in outcomes)
+        kinds = [record.spec.kind for record in service.store.jobs()]
+        assert kinds == ["experiment"] * len(eids)
+
+
+class TestBatchedDispatchUnderContention:
+    def test_every_seed_lands_once_across_racing_dispatchers(
+        self, monkeypatch
+    ):
+        """Eight dispatch threads on two fake endpoints that run every
+        submission at once and answer its first status poll, with a tiny
+        switch interval: no seed is lost or dispatched twice however the
+        pops and landings interleave."""
+        dispatched: Counter = Counter()
+        batch_sizes = []
+        finished = {}
+        lock = threading.Lock()
+
+        def instant_submit(client, kind, params=None, **kwargs):
+            body = service_executor.run_job({"kind": kind, "params": params})
+            seeds = params["seeds"] if kind == "sweep" else [params["seed"]]
+            job_id = f"j-{seeds[0]}"
+            with lock:
+                dispatched.update(seeds)
+                batch_sizes.append(len(seeds))
+                finished[job_id] = {"id": job_id, **body}
+            return {"id": job_id, "state": "RUNNING"}
+
+        def instant_status(client, job_id):
+            with lock:
+                return finished[job_id]
+
+        monkeypatch.setattr(ServiceClient, "submit", instant_submit)
+        monkeypatch.setattr(ServiceClient, "status", instant_status)
+        seeds = list(range(300))
+        delivered = []
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with fast_fleet(
+                ["http://127.0.0.1:1", "http://127.0.0.1:2"],
+                max_inflight_per_endpoint=4,
+            ) as ex:
+                fleet = run_sweep(
+                    TASK,
+                    seeds,
+                    executor=ex,
+                    on_outcome=lambda o: delivered.append(o.key),
+                )
+        finally:
+            sys.setswitchinterval(previous)
+        local = run_sweep(TASK, seeds, executor=LocalThreadExecutor())
+        assert sorted(delivered) == seeds
+        assert dispatched == Counter(seeds)
+        assert max(batch_sizes) > 1
+        assert fleet.ok and summaries_equal(fleet, local)
+
+
+class TestBatchSizing:
+    def test_one_without_an_estimate(self):
+        assert _batch_size(None, 1000, 2) == 1
+
+    def test_one_when_a_replica_alone_fills_the_target(self):
+        assert _batch_size(BATCH_TARGET_S, 1000, 2) == 1
+        assert _batch_size(3 * BATCH_TARGET_S, 1000, 2) == 1
+
+    def test_fills_the_target(self):
+        assert _batch_size(BATCH_TARGET_S / 10, 1000, 2) == 10
+        assert _batch_size(BATCH_TARGET_S / 2.5, 1000, 2) == 2
+
+    def test_never_more_than_an_even_share(self):
+        for per_replica_s in (None, 0.0, 1e-5, 0.003, 0.2):
+            for pending in (1, 2, 3, 7, 64, 65, 1000):
+                for slots in (1, 2, 16):
+                    size = _batch_size(per_replica_s, pending, slots)
+                    assert 1 <= size <= math.ceil(pending / slots)
+
+    def test_pop_takes_consecutive_seeds_of_one_task(self):
+        other = dict(TASK, length=31)
+        queue = deque(
+            [ReplicaJob(s, dict(TASK, seed=s)) for s in range(3)]
+            + [ReplicaJob(3, dict(TASK, seed=2))]  # a repeated seed
+            + [ReplicaJob(4, dict(other, seed=4))]  # a different task
+            + [ReplicaJob(5, dict(other, seed=5), kind="simulate")]
+            + [ReplicaJob(6, dict(other, seed=6), kind="simulate")]
+            + [ReplicaJob("E3", {"id": "E3"}, kind="experiment")]
+        )
+        assert [job.key for job in _pop_batch(queue, 8)] == [0, 1, 2]
+        assert [job.key for job in _pop_batch(queue, 8)] == [3]
+        assert [job.key for job in _pop_batch(queue, 8)] == [4]
+        assert [job.key for job in _pop_batch(queue, 8)] == [5]
+        assert [job.key for job in _pop_batch(queue, 8)] == [6]
+        assert [job.key for job in _pop_batch(queue, 8)] == ["E3"]
+        assert not queue
+
+
+class TestSweepJobResults:
+    """A ``sweep`` job runs each seed through the same per-seed runner as
+    a ``replica`` job, so fanning one out reproduces the other."""
+
+    @pytest.mark.parametrize("strategy", ["S_LRU", "S_BAL"])
+    def test_sweep_matches_replicas_and_the_simulator(self, strategy):
+        from repro.cli import make_strategy
+
+        task = dict(TASK, strategy=strategy)
+        seeds = [3, 11, 12, 40]
+        sweep = service_executor.run_job(
+            {"kind": "sweep", "params": dict(task, seeds=seeds)}
+        )["result"]
+        for seed in seeds:
+            params = dict(task, seed=seed)
+            replica = service_executor.run_job(
+                {"kind": "replica", "params": params}
+            )["result"]
+            workload = service_executor._build_workload(params)
+            reference = repro.simulate(
+                workload,
+                task["cache_size"],
+                task["tau"],
+                make_strategy(strategy, task["cache_size"], task["cores"]),
+            )
+            assert replica == {
+                "faults": reference.total_faults,
+                "makespan": reference.makespan,
+            }
+            assert sweep["faults"][str(seed)] == replica["faults"]
+            assert sweep["makespans"][str(seed)] == replica["makespan"]
+        assert sweep["seeds"] == len(seeds)
+
+    def test_one_strategy_has_a_kernel_and_one_falls_back(self):
+        from repro.cli import make_strategy
+
+        assert kernel_for(make_strategy("S_LRU", 6, 2)) is not None
+        assert kernel_for(make_strategy("S_BAL", 6, 2)) is None
 
 
 def pick_chaos_seed(urls, drop, corrupt):

@@ -1,11 +1,22 @@
 """Warm worker pool: process reuse, recycling, and crash recovery."""
 
+import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.runtime.pool import WarmWorkerPool, WorkerJobFailed
+from repro.service.client import ServiceClient
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
+
+from fleet_smoke import Server, alive, child_pids, outliving  # noqa: E402
 
 
 # Pool work functions must be module-level (picklable).  Transient faults
@@ -36,10 +47,32 @@ def _hard_crash_first(item, attempt):
     return item
 
 
-def _hang_first(item, attempt):
+def _hang_first(pid_path, attempt):
+    """Hangs on the first attempt, after writing its pid to ``pid_path``."""
     if attempt == 0:
+        with open(pid_path, "w", encoding="utf-8") as fh:
+            fh.write(str(os.getpid()))
         time.sleep(60)
-    return item
+    return pid_path
+
+
+def _signal_actions(item, attempt):
+    return (
+        str(signal.getsignal(signal.SIGTERM)),
+        str(signal.getsignal(signal.SIGINT)),
+    )
+
+
+_INITIALIZED_WITH = None
+
+
+def _remember(value):
+    global _INITIALIZED_WITH
+    _INITIALIZED_WITH = value
+
+
+def _initialized_with(item, attempt):
+    return _INITIALIZED_WITH
 
 
 class TestWarmReuse:
@@ -119,13 +152,19 @@ class TestFailureModes:
             assert attempts == 2
             assert pool.stats()["crashes"] == 1
 
-    def test_timeout_kills_and_retries(self):
+    def test_timeout_kills_and_retries(self, tmp_path):
+        pid_path = str(tmp_path / "hung.pid")
         with WarmWorkerPool() as pool:
             value, attempts = pool.run_one(
-                _hang_first, 4, timeout_s=0.5, retries=1, backoff_s=0.0
+                _hang_first, pid_path, timeout_s=0.5, retries=1, backoff_s=0.0
             )
-            assert value == 4
+            assert value == pid_path
             assert attempts == 2
+            # The hung attempt's worker is terminated and reaped, not
+            # left sleeping beside its replacement.
+            with open(pid_path, encoding="utf-8") as fh:
+                hung_pid = int(fh.read())
+            assert outliving([hung_pid], time.monotonic() + 2.0) == []
 
     def test_exhausted_retries_raise_with_the_real_error(self):
         with WarmWorkerPool() as pool:
@@ -145,6 +184,26 @@ class TestFailureModes:
             assert pool.stats()["crashes"] == 1
 
 
+class TestWorkerSignals:
+    def test_workers_take_sigterm_and_leave_sigint_to_the_owner(self):
+        """A worker forked while the owner's SIGTERM handler is installed
+        (a serving loop's drain latch) still dies on SIGTERM, and ignores
+        the Ctrl-C a terminal sends to the whole process group."""
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
+        try:
+            with WarmWorkerPool() as pool:
+                actions, _ = pool.run_one(_signal_actions, 0)
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert actions == (str(signal.SIG_DFL), str(signal.SIG_IGN))
+
+    def test_callers_initializer_still_runs(self):
+        with WarmWorkerPool(
+            initializer=_remember, initargs=("configured",)
+        ) as pool:
+            assert pool.run_one(_initialized_with, 0)[0] == "configured"
+
+
 class TestLifecycle:
     def test_close_is_idempotent_and_run_after_close_fails(self):
         pool = WarmWorkerPool()
@@ -160,3 +219,92 @@ class TestLifecycle:
         assert stats["warm"] is False
         assert stats["jobs_done"] == 0
         pool.close()
+
+
+#: Owns a warm pool under the start method named by its argument, prints
+#: the pid of the worker that ran one job, then idles until killed.
+_OWNER_SCRIPT = """
+import multiprocessing, os, sys, time
+from repro.runtime.pool import WarmWorkerPool
+
+def worker_pid(item, attempt):
+    return os.getpid()
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    pid, _ = WarmWorkerPool().run_one(worker_pid, 0, timeout_s=60)
+    print(pid, flush=True)
+    time.sleep(120)
+"""
+
+
+def _src_env() -> dict:
+    env = dict(os.environ)
+    env.pop("REPRO_CHAOS", None)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    return env
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+@pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+def test_workers_serve_and_die_with_their_owner_under_every_start_method(
+    tmp_path, method
+):
+    """Whatever start method the owner sets, its pool runs a job and the
+    worker exits once the owner is SIGKILLed.  (A ``forkserver`` worker
+    is a child of the fork server, which outlives its owner; the pool
+    forks its own workers on Linux.)"""
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method here")
+    script = tmp_path / "owner.py"
+    script.write_text(_OWNER_SCRIPT)
+    owner = subprocess.Popen(
+        [sys.executable, str(script), method],
+        stdout=subprocess.PIPE,
+        text=True,
+        env=_src_env(),
+    )
+    worker = None
+    try:
+        line = owner.stdout.readline()
+        assert line.strip().isdigit(), f"run_one never returned: {line!r}"
+        worker = int(line)
+        assert alive(worker)
+        owner.kill()
+        owner.wait(timeout=30)
+        assert outliving([worker], time.monotonic() + 3.0) == []
+    finally:
+        if owner.poll() is None:
+            owner.kill()
+            owner.wait(timeout=30)
+        owner.stdout.close()
+        if worker is not None and alive(worker):
+            os.kill(worker, signal.SIGKILL)
+
+
+@pytest.mark.service
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+def test_sigkilled_server_leaves_no_pool_worker(tmp_path):
+    """``repro serve`` runs one job on a warm-pool worker, then is
+    SIGKILLed: the worker notices its parent is gone and exits."""
+    server = Server(str(tmp_path / "serve.jsonl")).start()
+    workers: list[int] = []
+    try:
+        record = ServiceClient(server.url).submit_and_wait(
+            "replica",
+            {"workload": "zipf", "cores": 2, "length": 30,
+             "cache_size": 6, "strategy": "S_LRU", "seed": 1},
+        )
+        assert record["state"] == "DONE"
+        workers = child_pids(server.proc.pid)
+        assert workers
+        server.sigkill()
+        assert outliving(workers, time.monotonic() + 3.0) == []
+    finally:
+        server.stop()
+        for pid in workers:
+            if alive(pid):
+                os.kill(pid, signal.SIGKILL)

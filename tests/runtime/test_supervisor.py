@@ -4,9 +4,12 @@ import json
 import os
 import time
 import warnings
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.runtime import supervisor
 from repro.runtime.supervisor import (
     Journal,
     JournalMismatch,
@@ -55,7 +58,46 @@ def _raise_distinctive(item, attempt):
     raise ValueError("distinctive-original-error")
 
 
+class _DiesBeforeSecondSubmit(ProcessPoolExecutor):
+    """The first pool built reports itself broken on its second submit,
+    as a pool does when a worker dies between two jobs."""
+
+    built = 0
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        type(self).built += 1
+        self._doomed = type(self).built == 1
+        self._submits = 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        self._submits += 1
+        if self._doomed and self._submits == 2:
+            raise BrokenProcessPool("a worker died between jobs")
+        return super().submit(fn, *args, **kwargs)
+
+
 class TestSupervisedMap:
+    def test_pool_broken_at_submit_is_rebuilt_without_charging(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(_DiesBeforeSecondSubmit, "built", 0)
+        monkeypatch.setattr(
+            supervisor, "ProcessPoolExecutor", _DiesBeforeSecondSubmit
+        )
+        attempts = {}
+        results, failures = supervised_map(
+            _square,
+            range(4),
+            on_result=lambda item, value, attempt: attempts.update(
+                {item: attempt}
+            ),
+        )
+        assert results == {i: i * i for i in range(4)}
+        assert failures == []
+        assert attempts == {i: 0 for i in range(4)}
+        assert _DiesBeforeSecondSubmit.built == 2
+
     def test_plain_map_in_input_order(self):
         results, failures = supervised_map(_square, [3, 1, 2], max_workers=2)
         assert list(results.items()) == [(3, 9), (1, 1), (2, 4)]

@@ -4,6 +4,7 @@ chaos-under-service lives in test_chaos_service.py).
 """
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -269,6 +270,22 @@ class TestHTTPSurface:
         finally:
             http.stop()
             service.stop()
+
+    def test_a_burst_of_connects_is_queued_not_dropped(self, tmp_path):
+        """Connections made faster than the server accepts them wait in
+        the listen backlog; none waits for a resent SYN."""
+        http = ServiceHTTPServer(make_service(tmp_path))  # not accepting
+        sockets = []
+        try:
+            for _ in range(32):
+                sockets.append(
+                    socket.create_connection(http.address, timeout=0.5)
+                )
+        finally:
+            for sock in sockets:
+                sock.close()
+            http.start()
+            http.stop()
 
     def test_healthz_reports_package_version(self, served):
         _service, client = served

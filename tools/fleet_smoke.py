@@ -7,7 +7,9 @@ SIGKILLs one endpoint the moment results start landing.  The sweep must
 finish on the survivor with every replica exactly-once, and its
 aggregates must be byte-identical (as sorted JSON) to a local
 single-process run of the same task — the fleet moves work around, it
-never changes the numbers.
+never changes the numbers.  The killed endpoint's warm-pool workers
+(its child processes, recorded just before the kill) must all have
+exited about 3 s after it.
 
 Exits non-zero (with a transcript) on any violation.  Needs only the
 repro package (installed or via PYTHONPATH=src) — stdlib otherwise.
@@ -46,11 +48,47 @@ TASK = {
     "strategy": "S_LRU",
 }
 SEEDS = list(range(40))
+#: How long the SIGKILLed endpoint's pool workers may outlive it.
+WORKER_EXIT_S = 3.0
 
 
 def fail(message):
     print(f"FAIL: {message}", file=sys.stderr)
     sys.exit(1)
+
+
+def child_pids(pid):
+    """Pids of ``pid``'s live child processes, from /proc."""
+    kids = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit() and entry != str(pid):
+            fields = proc_stat(int(entry))
+            if fields and fields[1] == str(pid) and fields[0] != "Z":
+                kids.append(int(entry))
+    return kids
+
+
+def proc_stat(pid):
+    """``[state, ppid, ...]`` from /proc/<pid>/stat, or None when gone."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as fh:
+            return fh.read().rsplit(")", 1)[1].split()
+    except (OSError, IndexError):
+        return None
+
+
+def alive(pid):
+    """Running, and not a zombie awaiting its reaper."""
+    fields = proc_stat(pid)
+    return fields is not None and fields[0] != "Z"
+
+
+def outliving(pids, until):
+    """Those of ``pids`` still alive at monotonic time ``until``;
+    returns early once none is."""
+    while time.monotonic() < until and any(alive(pid) for pid in pids):
+        time.sleep(0.05)
+    return [pid for pid in pids if alive(pid)]
 
 
 class Server:
@@ -127,6 +165,8 @@ def main():
 
     landed = threading.Event()
     delivered = []
+    victim_workers = []
+    killed_at = []
 
     def on_outcome(outcome):
         delivered.append(outcome.key)
@@ -135,8 +175,11 @@ def main():
 
     def killer():
         landed.wait(timeout=120)
-        print(f"== SIGKILL {victim.url} mid-sweep ==")
+        victim_workers.extend(child_pids(victim.proc.pid))
+        print(f"== SIGKILL {victim.url} mid-sweep "
+              f"(warm-pool workers {victim_workers}) ==")
         victim.sigkill()
+        killed_at.append(time.monotonic())
 
     kill_thread = threading.Thread(target=killer, daemon=True)
     kill_thread.start()
@@ -186,6 +229,16 @@ def main():
     print(f"aggregates identical to local run: {fleet_json}")
     if fleet.max_attempts > 1:
         print(f"faults tolerated: max_attempts={fleet.max_attempts}")
+
+    if not victim_workers:
+        fail("the killed endpoint had no warm-pool workers to check")
+    survivors = outliving(victim_workers, killed_at[0] + WORKER_EXIT_S)
+    for pid in survivors:
+        os.kill(pid, signal.SIGKILL)
+    if survivors:
+        fail(f"warm-pool workers {survivors} outlived their SIGKILLed "
+             f"server by {WORKER_EXIT_S}s")
+    print(f"warm-pool workers {victim_workers} exited with their server")
 
     print("fleet smoke: OK")
     return 0
