@@ -7,10 +7,19 @@ dependency-free so the core model can be imported without numpy.
 from __future__ import annotations
 
 import itertools
+import os
 from collections.abc import Iterable, Iterator, Sequence
+from pathlib import Path
 from typing import TypeVar
 
 T = TypeVar("T")
+
+
+def default_cache_dir() -> Path:
+    """The cache root: ``$REPRO_CACHE_DIR`` or ``.repro_cache``.  Batch
+    results live under ``batch/`` and the compiled kernel under
+    ``kernels/``."""
+    return Path(os.environ.get("REPRO_CACHE_DIR", ".repro_cache"))
 
 
 def check_positive(name: str, value: int) -> int:

@@ -54,6 +54,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro._util import default_cache_dir
 from repro.core.kernels import simulate_fast
 from repro.runtime import chaos
 from repro.runtime.supervisor import Journal, supervised_map
@@ -78,14 +79,6 @@ __all__ = [
 #: v3: entries carry a sha256 payload checksum; unchecksummed v2 entries
 #: are unreachable rather than indistinguishable from tampered ones.
 CACHE_VERSION = 3
-
-_CACHE_ENV = "REPRO_CACHE_DIR"
-
-
-def default_cache_dir() -> Path:
-    """The cache root: ``$REPRO_CACHE_DIR`` or ``.repro_cache``."""
-    return Path(os.environ.get(_CACHE_ENV, ".repro_cache"))
-
 
 @dataclass(frozen=True)
 class BatchResult:
@@ -519,22 +512,17 @@ def batch_run(
                         pool.map(_seed_replica, todo, chunksize=chunksize)
                     )
         else:
-            outcomes = _run_serial_batched(
-                workload_factory, strategy_factory, cache_size, tau,
-                todo, cache_root,
-            ) if not supervised else None
-            if outcomes is None:
-                outcomes = []
-                for seed in todo:
-                    outcome = _run_serial_replica(
-                        workload_factory, strategy_factory, cache_size, tau,
-                        seed, cache_root, retries, retry_backoff_s,
-                        on_failure, failures,
-                    )
-                    if outcome is None:
-                        continue
-                    record(seed, outcome)
-                    outcomes.append(outcome)
+            outcomes = []
+            for seed in todo:
+                outcome = _run_serial_replica(
+                    workload_factory, strategy_factory, cache_size, tau,
+                    seed, cache_root, retries, retry_backoff_s,
+                    on_failure, failures,
+                )
+                if outcome is None:
+                    continue
+                record(seed, outcome)
+                outcomes.append(outcome)
     finally:
         if journal_obj is not None:
             journal_obj.close()
@@ -553,71 +541,6 @@ def batch_run(
         resumed=len(resumed),
         failed_seeds=tuple(sorted(f.item for f in failures)),
     )
-
-
-def _run_serial_batched(
-    workload_factory, strategy_factory, cache_size, tau, todo, cache_root,
-):
-    """Vectorized serial sweep: run every cache-missing replica through
-    :func:`~repro.core.kernels.simulate_fast_batch`, which batches the
-    seed axis when the strategy has a batched kernel and the batch is
-    wide enough (and otherwise loops :func:`simulate_fast`, so this path
-    is never slower than the per-seed loop).  Returns outcome tuples in
-    the per-seed format, or ``None`` when the sweep is too narrow to be
-    worth building all workloads up front.  Unsupervised sweeps only —
-    retries/chaos/journal recording keep the per-replica loop.
-    """
-    from repro.core.kernels import (
-        _batch_min,
-        batched_kernel_for,
-        get_numpy,
-        simulate_fast_batch,
-    )
-
-    if len(todo) < max(2, _batch_min()):
-        return None
-    strategy = strategy_factory()
-    # Engage only for strategies with a (stateless) batched kernel: every
-    # other configuration keeps the per-replica loop and its fresh
-    # strategy instance per seed.
-    if get_numpy() is None or batched_kernel_for(strategy) is None:
-        return None
-    workloads = [workload_factory(seed) for seed in todo]
-    if len({w.num_cores for w in workloads}) != 1:
-        return None
-    outcomes = {}
-    misses = []
-    if cache_root is not None:
-        keys = [
-            _replica_key(w, strategy, cache_size, tau) for w in workloads
-        ]
-        for seed, w, key in zip(todo, workloads, keys):
-            path = cache_root / key[:2] / f"{key}.json"
-            cached = _load_entry(path, cache_root)
-            if cached is not None:
-                outcomes[seed] = (seed, cached[0], cached[1], True)
-            else:
-                misses.append((seed, w, key, path))
-    else:
-        misses = [(seed, w, "", None) for seed, w in zip(todo, workloads)]
-    results = simulate_fast_batch(
-        [w for _, w, _, _ in misses], cache_size, tau, strategy
-    )
-    for (seed, _w, key, path), res in zip(misses, results):
-        if path is not None:
-            _store(
-                path,
-                {
-                    "faults": res.total_faults,
-                    "makespan": res.makespan,
-                    "strategy": strategy.name,
-                    "cache_size": cache_size,
-                    "tau": tau,
-                },
-                key=key,
-            )
-        outcomes[seed] = (seed, res.total_faults, res.makespan, False)
-    return [outcomes[seed] for seed in todo]
 
 
 def _run_serial_replica(

@@ -2,8 +2,8 @@
 registry (:mod:`repro.core.kernels`), which generalises the idea to a
 family of specialised kernels behind a ``simulate_fast`` dispatcher.
 
-``fast_shared_lru`` keeps its historical import location here; the
-dispatchers (including the vectorized multi-seed ``simulate_fast_batch``)
+``fast_shared_lru`` (the pure-python kernel) keeps its historical import
+location here; the dispatchers ``simulate_fast`` and ``simulate_fast_batch``
 are re-exported for the same reason.
 """
 

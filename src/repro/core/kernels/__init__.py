@@ -18,6 +18,9 @@ kernel                       equivalent strategy
 ``fast_partitioned_lru``     ``StaticPartitionStrategy(B, LRUPolicy)``
 ===========================  ==============================================
 
+The first three run compiled C (:mod:`.compiled`), built on first use,
+with their pure-python twins in :mod:`.shared` as the fallback.
+
 :func:`simulate_fast` dispatches a strategy (instance, factory/class or
 CLI spec string) to its kernel and *transparently falls back* to the
 general simulator when no kernel matches or non-default simulator
@@ -28,76 +31,30 @@ property-tested in ``tests/core/test_kernels.py``.
 
 from __future__ import annotations
 
-from repro.core.kernels._compat import get_numpy
-from repro.core.kernels.batched import (
-    batched_kernel_for,
-    fast_shared_fifo_batch,
-    fast_shared_lru_batch,
-)
 from repro.core.kernels.belady import fast_shared_fitf
-from repro.core.kernels.partitioned import fast_partitioned_lru
-from repro.core.kernels.shared import (
+from repro.core.kernels.compiled import (
     fast_shared_fifo,
-    fast_shared_fwf,
     fast_shared_lru,
     fast_shared_marking,
 )
+from repro.core.kernels.partitioned import fast_partitioned_lru
+from repro.core.kernels.shared import fast_shared_fwf
 from repro.core.metrics import SimResult
 from repro.core.request import Workload
 from repro.core.simulator import simulate
 
 __all__ = [
-    "BATCH_MIN",
     "KERNELS",
-    "batched_kernel_for",
     "fast_partitioned_lru",
     "fast_shared_fifo",
-    "fast_shared_fifo_batch",
     "fast_shared_fitf",
     "fast_shared_fwf",
     "fast_shared_lru",
-    "fast_shared_lru_batch",
     "fast_shared_marking",
     "kernel_for",
     "simulate_fast",
     "simulate_fast_batch",
 ]
-
-#: Minimum batch width at which the vectorized multi-seed kernels beat
-#: the scalar loop.  Below it the per-step numpy dispatch overhead is
-#: amortised over too few replicas (measured crossover ~100 on the E14
-#: sweep spec; see BENCH_batched.json).  Overridable via the
-#: ``REPRO_BATCH_MIN`` environment variable or the ``min_batch``
-#: argument of :func:`simulate_fast_batch`.
-BATCH_MIN = 128
-
-
-def _batch_min() -> int:
-    import os
-    import warnings
-
-    raw = os.environ.get("REPRO_BATCH_MIN")
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            warnings.warn(
-                f"ignoring invalid REPRO_BATCH_MIN={raw!r} (not an "
-                f"integer); using the default {BATCH_MIN}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return BATCH_MIN
-        if value < 1:
-            warnings.warn(
-                f"REPRO_BATCH_MIN={value} is not a valid batch width; "
-                f"clamping to 1",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return 1
-        return value
-    return BATCH_MIN
 
 
 #: Registry of kernels by name (the strategy's ``name`` convention).
@@ -207,42 +164,9 @@ def simulate_fast(workload, cache_size: int, tau: int, spec, **kwargs) -> SimRes
 
 
 def simulate_fast_batch(
-    workloads, cache_size: int, tau: int, spec, *, min_batch=None, **kwargs
+    workloads, cache_size: int, tau: int, spec, **kwargs
 ) -> list[SimResult]:
-    """Simulate ``spec`` over many workloads, vectorizing the seed axis
-    when possible.
-
-    The batched path engages only when every condition holds: numpy is
-    available (and not disabled via ``REPRO_NO_NUMPY``), ``spec``
-    resolves to a strategy with a batched kernel
-    (:func:`batched_kernel_for`), no simulator keyword arguments are
-    requested, all workloads share one core count, and the batch is at
-    least ``min_batch`` wide (default :data:`BATCH_MIN` /
-    ``$REPRO_BATCH_MIN`` — below the crossover the scalar loop is
-    faster).  Otherwise each workload runs through :func:`simulate_fast`
-    in order — the result list is field-for-field identical either way
-    (property-tested in ``tests/core/test_batched_kernels.py``).
-    """
-    workloads = [
-        w if isinstance(w, Workload) else Workload(w) for w in workloads
-    ]
-    if not workloads:
-        return []
-    if min_batch is None:
-        min_batch = _batch_min()
-    if (
-        not kwargs
-        and len(workloads) >= min_batch
-        and get_numpy() is not None
-    ):
-        strategy = _resolve_strategy(
-            spec, cache_size, workloads[0].num_cores
-        )
-        kernel = batched_kernel_for(strategy)
-        if kernel is not None and len(
-            {w.num_cores for w in workloads}
-        ) == 1:
-            return kernel(workloads, cache_size, tau)
+    """:func:`simulate_fast` over many workloads, in order."""
     return [
         simulate_fast(w, cache_size, tau, spec, **kwargs) for w in workloads
     ]

@@ -1,8 +1,7 @@
 """Optional-numpy gate for the kernel layer.
 
-The vectorized fast paths (oracle-backed FITF victim scans, the batched
-multi-seed kernels) use numpy when it is importable; every caller must
-fall back to an exact pure-python path when it is not.  Setting
+The vectorized FITF victim scans use numpy when it is importable; every
+caller must fall back to an exact pure-python path when it is not.  Setting
 ``REPRO_NO_NUMPY=1`` forces the fallback even where numpy is installed —
 CI uses it to prove the fallback paths stay exact, and it is the
 supported escape hatch if a numpy build ever misbehaves.

@@ -183,11 +183,12 @@ class Workload:
         equal — i.e. an exact bijection of this workload's pages onto a
         subset of ``range(width)``.  Workload generators that construct
         pages from integers they already hold (e.g. ``(core, rank)``
-        tuples) attach this so the batched kernels can skip per-request
-        hash interning; consumers treat the encoding as authoritative.
-        The metadata is advisory: equality, hashing, serialisation and
-        every scalar simulation path ignore it, and workloads rebuilt
-        from ``as_lists()`` simply lose it.
+        tuples) attach this so the compiled shared-cache kernel
+        (:mod:`repro.core.kernels.compiled`) reads the ids instead of
+        interning every request's page; int64 numpy arrays are copied
+        in one block.  The metadata is advisory: equality, hashing,
+        serialisation and the python simulation paths ignore it, and
+        workloads rebuilt from ``as_lists()`` simply lose it.
         """
         ids = tuple(ids)
         if len(ids) != len(self._sequences) or any(

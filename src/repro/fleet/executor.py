@@ -89,27 +89,69 @@ class ReplicaJob:
     kind: str = "replica"
 
 
-@dataclass
+#: Stored as a :class:`ReplicaOutcome`'s result when that result is just
+#: its own ``{"faults", "makespan"}`` pair.  ``...`` is a singleton that
+#: pickles to itself.
+_PAIR = ...
+
+
+def _is_pair(result, faults, makespan) -> bool:
+    """``result`` is exactly ``{"faults": faults, "makespan": makespan}``,
+    key order and value types included, so rebuilding it is lossless."""
+    return (
+        type(result) is dict
+        and list(result) == ["faults", "makespan"]
+        and type(result["faults"]) is type(faults)
+        and result["faults"] == faults
+        and type(result["makespan"]) is type(makespan)
+        and result["makespan"] == makespan
+    )
+
+
+@dataclass(slots=True, init=False)
 class ReplicaOutcome:
     """What became of one replica: exactly one of DONE or ERROR.
 
     ``result`` is the job's full result payload; for ``replica`` jobs
     the ``faults``/``makespan`` pair is also lifted into top-level
-    fields.  ``attempts`` counts work attempts actually consumed;
-    ``endpoint`` is where the winning result came from (``"local"`` for
-    in-process executors); ``hedged`` marks replicas whose result raced
-    two endpoints.
+    fields.  A result that is only that pair (every seed of a batched
+    dispatch) is not kept twice: ``result`` rebuilds it on each read.
+    ``attempts`` counts work attempts actually consumed; ``endpoint`` is
+    where the winning result came from (``"local"`` for in-process
+    executors); ``hedged`` marks replicas whose result raced two
+    endpoints.
     """
 
     key: object
     status: str  # "DONE" | "ERROR"
-    faults: int | None = None
-    makespan: int | None = None
-    result: dict | None = None
-    error: str | None = None
-    attempts: int = 1
-    endpoint: str | None = None
-    hedged: bool = False
+    faults: int | None
+    makespan: int | None
+    _result: object
+    error: str | None
+    attempts: int
+    endpoint: str | None
+    hedged: bool
+
+    def __init__(self, key, status, faults=None, makespan=None, result=None,
+                 error=None, attempts=1, endpoint=None, hedged=False):
+        self.key = key
+        self.status = status
+        self.faults = faults
+        self.makespan = makespan
+        self._result = (
+            _PAIR if result is _PAIR or _is_pair(result, faults, makespan)
+            else result
+        )
+        self.error = error
+        self.attempts = attempts
+        self.endpoint = endpoint
+        self.hedged = hedged
+
+    @property
+    def result(self) -> dict | None:
+        if self._result is _PAIR:
+            return {"faults": self.faults, "makespan": self.makespan}
+        return self._result
 
     @property
     def ok(self) -> bool:
@@ -398,15 +440,17 @@ def _dispatch_spec(batch: list[ReplicaJob]) -> tuple[str, dict]:
     return "sweep", params
 
 
-def _fan_out(batch: list[ReplicaJob], result: dict) -> list[dict]:
-    """One ``replica``-shaped result per job of a batch."""
+def _fan_out(batch: list[ReplicaJob], result: dict) -> list[tuple]:
+    """``(faults, makespan, result)`` per job of a batch; a seed of a
+    multi-seed batch keeps just its pair."""
     if len(batch) == 1:
-        return [result]
+        return [(result.get("faults"), result.get("makespan"), result)]
     return [
-        {
-            "faults": result["faults"][str(job.params["seed"])],
-            "makespan": result["makespans"][str(job.params["seed"])],
-        }
+        (
+            result["faults"][str(job.params["seed"])],
+            result["makespans"][str(job.params["seed"])],
+            _PAIR,
+        )
         for job in batch
     ]
 
@@ -748,14 +792,17 @@ class FleetExecutor:
             winner.breaker.record_success()
             results = _fan_out(batch, record.get("result") or {})
             return [
-                _done_outcome(
-                    job,
-                    result,
+                ReplicaOutcome(
+                    job.key,
+                    "DONE",
+                    faults=faults,
+                    makespan=makespan,
+                    result=result,
                     attempts=work_failures + 1,
                     endpoint=winner.url,
                     hedged=hedged_ever,
                 )
-                for job, result in zip(batch, results)
+                for job, (faults, makespan, result) in zip(batch, results)
             ], ran
 
     def _attempt(

@@ -34,6 +34,12 @@ replays a bounded tail no matter how many jobs the store has ever seen.
 The ``restore`` event type is additive — the fingerprint stays
 ``repro-jobstore-v1`` and pre-snapshot journals open unchanged.
 
+A terminal job never changes again, so the store keeps it once: as the
+canonical text of its ``restore`` event, which every snapshot writes as
+it is and which :meth:`JobStore.get`, a dedup hit and ``/jobs`` decode
+on request.  Per-state counts are kept as jobs move, so ``/readyz`` and
+drain logging decode nothing.
+
 :meth:`JobStore.wait_terminal` is the long-poll behind
 ``GET /jobs/<id>?wait_s=S``: a condition on the store's lock, notified
 by every terminal transition and by :meth:`JobStore.close`.
@@ -56,6 +62,13 @@ STORE_FINGERPRINT = "repro-jobstore-v1"
 DEFAULT_SNAPSHOT_EVERY = 1024
 
 
+def _restore(entry: JobRecord | Serialized) -> Serialized:
+    """A job's snapshot item: one ``restore`` event, as canonical text."""
+    if isinstance(entry, Serialized):
+        return entry
+    return Serialized({"type": "restore", "record": entry.to_dict()})
+
+
 class UnknownJob(KeyError):
     """No job with that id exists in the store."""
 
@@ -73,10 +86,11 @@ class JobStore:
         #: Notified on every terminal transition and on close.
         self._changed = threading.Condition(self._lock)
         self._closed = False
-        self._jobs: dict[str, JobRecord] = {}
-        #: job id -> the snapshot restore value of a terminal job,
-        #: serialised once; dropped whenever the job changes.
-        self._serialized: dict[str, Serialized] = {}
+        #: job id -> a live record, or for a terminal job only its
+        #: snapshot restore value as canonical text, decoded on request.
+        self._jobs: dict[str, JobRecord | Serialized] = {}
+        #: state -> number of jobs in it (``/readyz``, drain logging).
+        self._counts: dict[str, int] = {}
         #: fingerprint -> job id of a successfully completed job.
         self._completed_by_fingerprint: dict[str, str] = {}
         self._seq = 0
@@ -114,31 +128,39 @@ class JobStore:
         the max-seq scan are unchanged.
         """
         del items  # the in-memory table already reflects every event
-        compacted = []
-        for i, record in enumerate(self._jobs.values(), start=1):
-            restore = self._serialized.get(record.id)
-            if restore is None:
-                restore = Serialized(
-                    {"type": "restore", "record": record.to_dict()}
-                )
-                if record.terminal:
-                    # Unchanged from here on, so every later snapshot
-                    # reuses this text instead of serialising the job.
-                    self._serialized[record.id] = restore
-            compacted.append([[i, "restore"], restore])
+        compacted = [
+            [[i, "restore"], _restore(entry)]
+            for i, entry in enumerate(self._jobs.values(), start=1)
+        ]
         compacted.append([[self._seq, "seq"], {"type": "seq"}])
         return compacted
+
+    # -- the table ---------------------------------------------------------
+
+    def _put(self, record: JobRecord, was: str | None = None) -> None:
+        """Lock held: store ``record`` (live, or as text once terminal)
+        and move it from state ``was`` in the counts."""
+        if was is not None:
+            self._counts[was] -= 1
+        self._counts[record.state] = self._counts.get(record.state, 0) + 1
+        self._jobs[record.id] = (
+            _restore(record) if record.terminal else record
+        )
+        if record.state in ("DONE", "DEGRADED"):
+            self._completed_by_fingerprint[record.spec.fingerprint] = record.id
+
+    def _record(self, job_id: str) -> JobRecord | None:
+        """Lock held: the job's record, decoded if terminal."""
+        entry = self._jobs.get(job_id)
+        if isinstance(entry, Serialized):
+            return JobRecord.from_dict(entry.value["record"])
+        return entry
 
     def _apply(self, event: dict) -> None:
         """Apply one journaled event to the in-memory table (no re-journal)."""
         etype = event["type"]
         if etype == "restore":
-            record = JobRecord.from_dict(event["record"])
-            self._jobs[record.id] = record
-            if record.state in ("DONE", "DEGRADED"):
-                self._completed_by_fingerprint[
-                    record.spec.fingerprint
-                ] = record.id
+            self._put(JobRecord.from_dict(event["record"]))
         elif etype == "seq":
             pass  # high-water marker: only its key matters (max-seq scan)
         elif etype == "submit":
@@ -149,12 +171,12 @@ class JobStore:
             record.events.append(
                 {"t": event["t"], "event": "submitted", "kind": spec.kind}
             )
-            self._jobs[record.id] = record
+            self._put(record)
         elif etype == "state":
-            record = self._jobs.get(event["id"])
+            record = self._record(event["id"])
             if record is None:  # foreign tail; submit line lost pre-v1 only
                 return
-            self._serialized.pop(record.id, None)
+            was = record.state
             record.state = event["state"]
             record.result = event.get("result")
             record.error = event.get("error")
@@ -170,19 +192,16 @@ class JobStore:
                     ),
                 }
             )
-            if record.state in TERMINAL_STATES:
+            if record.terminal:
                 record.finished_at = event["t"]
-                if record.state in ("DONE", "DEGRADED"):
-                    self._completed_by_fingerprint[
-                        record.spec.fingerprint
-                    ] = record.id
+            self._put(record, was)
         elif etype == "event":
-            record = self._jobs.get(event["id"])
+            record = self._record(event["id"])
             if record is not None:
-                self._serialized.pop(record.id, None)
                 entry = dict(event["detail"])
                 entry.setdefault("t", event["t"])
                 record.events.append(entry)
+                self._put(record, record.state)
 
     # -- mutations ---------------------------------------------------------
 
@@ -200,7 +219,7 @@ class JobStore:
                 }
             )
             record.log_event("submitted", kind=record.spec.kind)
-            self._jobs[record.id] = record
+            self._put(record)
             return record
 
     def transition(
@@ -215,7 +234,7 @@ class JobStore:
     ) -> JobRecord:
         """Durably move a job to ``state`` (journal first, memory second)."""
         with self._lock:
-            record = self._jobs.get(job_id)
+            record = self._record(job_id)
             if record is None:
                 raise UnknownJob(job_id)
             if record.state in TERMINAL_STATES:
@@ -235,7 +254,7 @@ class JobStore:
                     "attempts": record.attempts if attempts is None else attempts,
                 }
             )
-            self._serialized.pop(job_id, None)
+            was = record.state
             record.state = state
             record.result = result
             record.error = error
@@ -244,31 +263,31 @@ class JobStore:
             record.log_event(state.lower(), **({"error": error} if error else {}))
             if state in TERMINAL_STATES:
                 record.finished_at = stamp
-                if state in ("DONE", "DEGRADED"):
-                    self._completed_by_fingerprint[
-                        record.spec.fingerprint
-                    ] = record.id
                 self._changed.notify_all()
+            self._put(record, was)
             return record
 
     def log_event(self, job_id: str, event: str, **detail) -> None:
         """Append one structured event to a job's durable event log."""
         with self._lock:
-            record = self._jobs.get(job_id)
+            record = self._record(job_id)
             if record is None:
                 raise UnknownJob(job_id)
             entry = {"t": round(time.time(), 3), "event": event, **detail}
             self._append(
                 {"type": "event", "id": job_id, "t": entry["t"], "detail": entry}
             )
-            self._serialized.pop(job_id, None)
             record.events.append(entry)
+            if record.terminal:
+                self._put(record, record.state)
 
     # -- queries -----------------------------------------------------------
 
     def get(self, job_id: str) -> JobRecord:
+        """The job's record; a terminal job's is decoded afresh, so
+        changing it changes nothing in the store."""
         with self._lock:
-            record = self._jobs.get(job_id)
+            record = self._record(job_id)
             if record is None:
                 raise UnknownJob(job_id)
             return record
@@ -278,10 +297,12 @@ class JobStore:
         passed, whichever comes first; at once if the store is closed.
         An unknown id raises :class:`UnknownJob` without waiting."""
         with self._changed:
-            record = self._jobs.get(job_id)
+            record = self._record(job_id)
             if record is None:
                 raise UnknownJob(job_id)
             if timeout_s > 0:
+                # A live record is the object a terminal transition
+                # updates before the store swaps it for its text.
                 self._changed.wait_for(
                     lambda: record.terminal or self._closed, timeout_s
                 )
@@ -289,18 +310,19 @@ class JobStore:
 
     def jobs(self) -> list[JobRecord]:
         with self._lock:
-            return list(self._jobs.values())
+            return [self._record(job_id) for job_id in self._jobs]
 
     def non_terminal(self) -> list[JobRecord]:
         """Jobs the journal says never finished — re-enqueue these."""
         with self._lock:
-            return [r for r in self._jobs.values() if not r.terminal]
+            return [r for r in self._jobs.values()
+                    if isinstance(r, JobRecord)]
 
     def completed_result_for(self, fingerprint: str) -> JobRecord | None:
         """A completed (DONE/DEGRADED) job carrying identical work, if any."""
         with self._lock:
             job_id = self._completed_by_fingerprint.get(fingerprint)
-            return self._jobs.get(job_id) if job_id is not None else None
+            return self._record(job_id) if job_id is not None else None
 
     def recovery_stats(self) -> dict:
         """How much work the last open cost — the compaction gate's
@@ -317,10 +339,7 @@ class JobStore:
     def counts(self) -> dict:
         """State histogram for ``/readyz`` and drain logging."""
         with self._lock:
-            histogram: dict[str, int] = {}
-            for record in self._jobs.values():
-                histogram[record.state] = histogram.get(record.state, 0) + 1
-            return histogram
+            return {state: n for state, n in self._counts.items() if n}
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -45,6 +45,7 @@ import json
 import os
 import warnings
 import zlib
+from collections.abc import Mapping
 from pathlib import Path
 
 from repro.store.fs import fsync_dir
@@ -122,21 +123,53 @@ def snapshot_checksum(body: dict) -> str:
 
 
 class Serialized:
-    """A snapshot item value together with its canonical JSON text
+    """A snapshot item value kept only as its canonical JSON text
     (``json.dumps(value, sort_keys=True)``).
 
     A ``compact_items`` hook may return these instead of plain values, so
     a value that has not changed since the last snapshot is not
-    serialised again: consumers cache one per unchanged record.  The
-    log keeps :attr:`value` in :attr:`DurableLog.completed` and writes
-    :attr:`text`.  Treat both as immutable.
+    serialised again: consumers cache one per unchanged record.  The log
+    writes :attr:`text` and keeps the object itself in
+    :attr:`DurableLog.completed`, which decodes it on each read; the
+    hook gets the same object back at the next snapshot.  Building one
+    from another reuses its text.
     """
 
-    __slots__ = ("value", "text")
+    __slots__ = ("text",)
 
     def __init__(self, value):
-        self.value = value
-        self.text = json.dumps(value, sort_keys=True)
+        self.text = (value.text if isinstance(value, Serialized)
+                     else json.dumps(value, sort_keys=True))
+
+    @property
+    def value(self):
+        """A fresh decoding of :attr:`text`."""
+        return json.loads(self.text)
+
+
+class _Items(Mapping):
+    """:attr:`DurableLog.completed`: a value a compactor returned as
+    :class:`Serialized` stays that text and is decoded on each read, so
+    a compacted item costs its text and nothing more."""
+
+    def __init__(self, pairs=()):
+        self.raw = dict(pairs)
+
+    def __getitem__(self, key):
+        value = self.raw[key]
+        return value.value if isinstance(value, Serialized) else value
+
+    def __setitem__(self, key, value):
+        self.raw[key] = value
+
+    def __contains__(self, key):
+        return key in self.raw
+
+    def __iter__(self):
+        return iter(self.raw)
+
+    def __len__(self):
+        return len(self.raw)
 
 
 #: Stands in for a :class:`Serialized` value (or the items) while the rest
@@ -146,10 +179,11 @@ _HOLE = "\x00repro.durable.hole\x00"
 _HOLE_JSON = json.dumps(_HOLE)
 
 
-def _items_json(items) -> str:
+def _items_pieces(items) -> list:
     """``json.dumps(items, sort_keys=True)`` for ``[key, value]`` pairs
-    whose values may be :class:`Serialized`: one encoding pass for the
-    rest, with each stored text spliced into its place."""
+    whose values may be :class:`Serialized`, as pieces to write in order:
+    one encoding pass for the rest, with each stored text spliced into
+    its place, so the table's text is never copied into one string."""
     texts = [v.text for _, v in items if isinstance(v, Serialized)]
     parts = json.dumps(
         [[k, _HOLE if isinstance(v, Serialized) else v] for k, v in items],
@@ -157,17 +191,30 @@ def _items_json(items) -> str:
     ).split(_HOLE_JSON)
     if len(parts) != len(texts) + 1:
         # The marker also occurs inside a key or a plain value.
-        return "[" + ", ".join(
+        return ["[" + ", ".join(
             f"[{json.dumps(k, sort_keys=True)}, "
             + (v.text if isinstance(v, Serialized)
                else json.dumps(v, sort_keys=True))
             + "]"
             for k, v in items
-        ) + "]"
+        ) + "]"]
     spliced = [""] * (2 * len(texts) + 1)
     spliced[0::2] = parts
     spliced[1::2] = texts
-    return "".join(spliced)
+    return spliced
+
+
+def _joined(pieces, size: int):
+    """The concatenation of ``pieces`` in strings of about ``size``
+    characters, so no text the length of the whole is ever built."""
+    batch, length = [], 0
+    for piece in pieces:
+        batch.append(piece)
+        length += len(piece)
+        if length >= size:
+            yield "".join(batch)
+            batch, length = [], 0
+    yield "".join(batch)
 
 
 def _around_items(header: dict) -> tuple:
@@ -211,7 +258,9 @@ class DurableLog:
     store) use it to collapse a job's event history into one restore
     record, which is what turns bounded *replay* into bounded *state*.
     Its values may be :class:`Serialized`, so records that did not
-    change since the last snapshot are not serialised again.
+    change since the last snapshot are not serialised again; the pairs
+    it is handed carry the :class:`Serialized` values it returned last
+    time, undecoded.
 
     After open, :attr:`replayed` is the number of records read back from
     segment files (the recovery cost a snapshot bounds) and
@@ -240,7 +289,7 @@ class DurableLog:
         self.snapshot_every = snapshot_every
         self.keep_snapshots = keep_snapshots
         self._compact_items = compact_items
-        self.completed: dict = {}
+        self.completed: Mapping = _Items()
         #: Global index of the next record to append.
         self.count = 0
         #: Records read back from segment files at open (recovery cost).
@@ -578,35 +627,33 @@ class DurableLog:
         chaos.maybe_kill("durable.seal")
 
         # Phase 2 — write the snapshot to a temp file and fsync it.  The
-        # items are serialised once, canonically, and that one text is
-        # both checksummed and written (snapshot_checksum of the parsed
-        # file gives the same digest).
-        items = [[_thaw(k), v] for k, v in self.completed.items()]
+        # items are serialised once, canonically, and each piece of that
+        # text is checksummed as it is written (snapshot_checksum of the
+        # parsed file gives the same digest).
+        items = [[_thaw(k), v] for k, v in self.completed.raw.items()]
         if self._compact_items is not None:
             items = self._compact_items(items)
-            self.completed = {
-                _freeze(k): v.value if isinstance(v, Serialized) else v
-                for k, v in items
-            }
-        items_text = _items_json(items).encode("utf-8")
+            self.completed = _Items((_freeze(k), v) for k, v in items)
         header = {
             "snapshot": SNAPSHOT_VERSION,
             "fingerprint": self.fingerprint,
             "gen": self.gen + 1,
             "count": self.count,
         }
-        head, tail = _around_items(header)
-        digest = hashlib.sha256(head.encode("utf-8"))
-        digest.update(items_text)
-        digest.update(tail.encode("utf-8"))
-        header["sha256"] = digest.hexdigest()
+        # The head is the same with and without the sha256 (it sorts
+        # after the items), so only the tail waits for the digest.
         head, tail = _around_items(header)
         snap = self.path.with_name(f"{self.path.name}.{self.gen + 1:06d}.snap")
         tmp = snap.with_name(snap.name + ".tmp")
+        digest = hashlib.sha256()
         with open(tmp, "wb") as fh:
-            fh.write(head.encode("utf-8"))
-            fh.write(items_text)
-            fh.write(tail.encode("utf-8"))
+            for text in _joined((head, *_items_pieces(items)), 1 << 20):
+                data = text.encode("utf-8")
+                digest.update(data)
+                fh.write(data)
+            digest.update(tail.encode("utf-8"))
+            header["sha256"] = digest.hexdigest()
+            fh.write(_around_items(header)[1].encode("utf-8"))
             fh.flush()
             os.fsync(fh.fileno())
         self._snap_counts[snap.name] = self.count

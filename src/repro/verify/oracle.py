@@ -162,21 +162,14 @@ def oracle_strategies(cache_size: int, num_cores: int) -> dict:
     }
 
 
-def _batched_engine(name: str):
-    """The vectorized multi-seed kernel equivalent to kernel ``name``,
-    or ``None`` (also when numpy is unavailable — the batched engines
-    have no pure-python form to check)."""
-    from repro.core.kernels import get_numpy
-    from repro.core.kernels.batched import (
-        fast_shared_fifo_batch,
-        fast_shared_lru_batch,
-    )
+def _python_engine(name: str):
+    """The pure-python twin of a compiled registry kernel, or ``None``."""
+    from repro.core.kernels import shared
 
-    if get_numpy() is None:
-        return None
     return {
-        "S_LRU": fast_shared_lru_batch,
-        "S_FIFO": fast_shared_fifo_batch,
+        "S_LRU": shared.fast_shared_lru,
+        "S_FIFO": shared.fast_shared_fifo,
+        "S_MARK": shared.fast_shared_marking,
     }.get(name)
 
 
@@ -295,28 +288,28 @@ def check_case(
             divergences.append(Divergence("kernel_mismatch", name, diff, case))
         else:
             online_costs[name] = general.total_faults
-            # Third engine where one exists: the vectorized multi-seed
-            # kernel, run on a width-1 batch, must also match.
-            batched = _batched_engine(name)
-            if batched is not None:
-                bname = f"{name}_batch"
+            # Third engine where one exists: the pure-python twin of a
+            # compiled kernel must also match.
+            python = _python_engine(name)
+            if python is not None and python is not KERNELS[name]:
+                pname = f"{name}_python"
                 try:
-                    bres = batched([workload], K, tau)[0]
+                    pres = python(workload, K, tau)
                 except Exception as exc:
                     divergences.append(
                         Divergence(
                             "engine_crash",
-                            bname,
-                            f"batched kernel {_describe_outcome(exc)}; "
-                            "scalar engines completed",
+                            pname,
+                            f"python kernel {_describe_outcome(exc)}; "
+                            "the other engines completed",
                             case,
                         )
                     )
                 else:
-                    bdiff = _diff_results(general, bres)
-                    if bdiff:
+                    pdiff = _diff_results(general, pres)
+                    if pdiff:
                         divergences.append(
-                            Divergence("kernel_mismatch", bname, bdiff, case)
+                            Divergence("kernel_mismatch", pname, pdiff, case)
                         )
 
     if (

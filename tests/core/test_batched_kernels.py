@@ -1,27 +1,27 @@
-"""Bit-identical equivalence of the vectorized multi-seed kernels.
+"""The multi-workload entry point ``simulate_fast_batch`` over the compiled
+shared-cache kernel.
 
-Every batched result must equal the per-seed scalar kernel (and hence
-the general simulator, whose equivalence with the scalar kernels is
-tested in ``test_kernels.py``) field for field — across workload
-families, taus, cache pressures, dense-id metadata presence, and the
-numpy / no-numpy dispatch legs.  Cache-fingerprint stability is checked
-end-to-end: batched and scalar replicas must share ``.repro_cache/``
-entries.
+``simulate_fast_batch`` is a plain loop of :func:`simulate_fast`, which
+runs ``S_LRU``, ``S_FIFO`` and ``S_MARK`` on the compiled kernel
+(:mod:`repro.core.kernels.compiled`).  Every result must equal the
+pure-python kernel's (and hence the general simulator's, whose
+equivalence with the python kernels is tested in ``test_kernels.py``)
+field for field, across workload families, taus, cache pressures,
+dense-id metadata presence and the numpy / no-numpy legs.  Cache
+fingerprints are checked end to end: replicas simulated by the compiled
+and the python kernels must share ``.repro_cache/`` entries.
 """
 
 import pytest
 
-from repro import FIFOPolicy, LRUPolicy, SharedStrategy, Workload
+from repro import FIFOPolicy, LRUPolicy, MarkingPolicy, SharedStrategy, Workload
 from repro.analysis.batch import batch_run
 from repro.core.kernels import (
-    BATCH_MIN,
+    compiled,
+    kernel_for,
+    shared,
     simulate_fast,
     simulate_fast_batch,
-)
-from repro.core.kernels.batched import (
-    batched_kernel_for,
-    fast_shared_fifo_batch,
-    fast_shared_lru_batch,
 )
 from repro.workloads import (
     access_graph_workload,
@@ -32,8 +32,13 @@ from repro.workloads import (
     zipf_workload,
 )
 
-SPECS = ("S_LRU", "S_FIFO")
+SPECS = ("S_LRU", "S_FIFO", "S_MARK")
 TAUS = (0, 1, 3)
+PYTHON = {
+    "S_LRU": shared.fast_shared_lru,
+    "S_FIFO": shared.fast_shared_fifo,
+    "S_MARK": shared.fast_shared_marking,
+}
 
 
 def _families(seed):
@@ -46,8 +51,8 @@ def _families(seed):
 
 
 def _assert_batch_matches_scalar(workloads, K, tau, spec):
-    batched = simulate_fast_batch(workloads, K, tau, spec, min_batch=1)
-    scalar = [simulate_fast(w, K, tau, spec) for w in workloads]
+    batched = simulate_fast_batch(workloads, K, tau, spec)
+    scalar = [PYTHON[spec](w, K, tau) for w in workloads]
     assert batched == scalar
 
 
@@ -95,14 +100,15 @@ def test_empty_batch():
 
 def test_all_empty_sequences():
     batch = [Workload([[], []]) for _ in range(3)]
-    _assert_batch_matches_scalar(batch, 4, 1, "S_LRU")
+    for spec in SPECS:
+        _assert_batch_matches_scalar(batch, 4, 1, spec)
 
 
 @pytest.mark.parametrize("spec", SPECS)
 def test_dense_ids_equal_stripped_metadata(spec):
     """Generator-attached dense page ids are a pure accelerator: results
     must be identical with the metadata stripped (``as_lists`` loses
-    it)."""
+    it), which makes the compiled kernel intern the pages instead."""
     gens = [
         [zipf_workload(3, 90, 11, alpha=1.1, seed=s) for s in range(6)],
         [uniform_workload(2, 70, 9, shared_pages=4, seed=s) for s in range(6)],
@@ -112,8 +118,8 @@ def test_dense_ids_equal_stripped_metadata(spec):
         assert "_dense_page_ids" in batch[0].__dict__
         stripped = [Workload(w.as_lists()) for w in batch]
         for K, tau in ((6, 0), (6, 1), (4, 3)):
-            a = simulate_fast_batch(batch, K, tau, spec, min_batch=1)
-            b = simulate_fast_batch(stripped, K, tau, spec, min_batch=1)
+            a = simulate_fast_batch(batch, K, tau, spec)
+            b = simulate_fast_batch(stripped, K, tau, spec)
             assert a == b
 
 
@@ -126,86 +132,54 @@ def test_dense_ids_validation():
 
 
 def test_no_numpy_fallback(monkeypatch):
-    """With numpy disabled the dispatcher loops scalar kernels — same
-    results, no crash."""
+    """With numpy disabled every kernel behind the batch entry point
+    takes its pure-python path — same results, no crash.  S_FITF is the
+    kernel that reads the switch; the compiled kernels never needed
+    numpy."""
     batch = [uniform_workload(2, 40, 5, seed=s) for s in range(4)]
-    want = [simulate_fast(w, 6, 1, "S_LRU") for w in batch]
+    specs = ("S_LRU", "S_MARK", "S_FITF")
+    want = {s: [simulate_fast(w, 6, 1, s) for w in batch] for s in specs}
     monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-    got = simulate_fast_batch(batch, 6, 1, "S_LRU", min_batch=1)
-    assert got == want
-    with pytest.raises(RuntimeError):
-        fast_shared_lru_batch(batch, 6, 1)
-
-
-def test_min_batch_threshold_keeps_scalar_path(monkeypatch):
-    """Below ``min_batch`` the batched kernel must not even be invoked
-    (it loses to the scalar loop there)."""
-
-    def boom(strategy):
-        raise AssertionError("batched kernel invoked below min_batch")
-
-    import repro.core.kernels as kernels
-
-    monkeypatch.setattr(kernels, "batched_kernel_for", boom)
-    batch = [uniform_workload(2, 20, 4, seed=s) for s in range(3)]
-    want = [simulate_fast(w, 6, 1, "S_LRU") for w in batch]
-    assert simulate_fast_batch(batch, 6, 1, "S_LRU") == want  # 3 < BATCH_MIN
-    if kernels.get_numpy() is not None:
-        # With numpy available, min_batch=1 must reach the kernel lookup.
-        with pytest.raises(AssertionError):
-            simulate_fast_batch(batch, 6, 1, "S_LRU", min_batch=1)
-
-
-def test_batch_min_env_override(monkeypatch):
-    from repro.core.kernels import _batch_min
-
-    assert _batch_min() == BATCH_MIN
-    monkeypatch.setenv("REPRO_BATCH_MIN", "7")
-    assert _batch_min() == 7
-
-
-def test_batch_min_invalid_env_warns_not_silently(monkeypatch):
-    """Regression: junk/out-of-range REPRO_BATCH_MIN used to be swallowed
-    silently; now each bad value warns and falls back safely."""
-    from repro.core.kernels import _batch_min
-
-    monkeypatch.setenv("REPRO_BATCH_MIN", "junk")
-    with pytest.warns(RuntimeWarning, match="not an integer"):
-        assert _batch_min() == BATCH_MIN
-
-    for below_one in ("0", "-5"):
-        monkeypatch.setenv("REPRO_BATCH_MIN", below_one)
-        with pytest.warns(RuntimeWarning, match="clamping to 1"):
-            assert _batch_min() == 1
+    for spec in specs:
+        assert simulate_fast_batch(batch, 6, 1, spec) == want[spec]
 
 
 def test_batched_kernel_for_is_type_exact():
     class SneakyLRU(LRUPolicy):
         pass
 
-    assert batched_kernel_for(SharedStrategy(LRUPolicy)) is (
-        fast_shared_lru_batch
+    assert kernel_for(SharedStrategy(LRUPolicy)) == (
+        compiled.fast_shared_lru, ()
     )
-    assert batched_kernel_for(SharedStrategy(FIFOPolicy)) is (
-        fast_shared_fifo_batch
+    assert kernel_for(SharedStrategy(FIFOPolicy)) == (
+        compiled.fast_shared_fifo, ()
     )
-    assert batched_kernel_for(SharedStrategy(SneakyLRU)) is None
+    assert kernel_for(SharedStrategy(MarkingPolicy)) == (
+        compiled.fast_shared_marking, ()
+    )
+    assert kernel_for(SharedStrategy(SneakyLRU)) is None
 
 
-def test_mixed_core_counts_rejected():
-    batch = [Workload([[1, 2]]), Workload([[1], [2]])]
-    with pytest.raises(ValueError):
-        fast_shared_lru_batch(batch, 4, 1)
-
-
-def test_verify_oracle_covers_batched_engines():
-    """The cross-engine oracle now runs the batched kernels as a third
-    engine; a clean case must stay clean and a deliberately broken
-    batched result must be reported."""
+def test_verify_oracle_covers_batched_engines(monkeypatch):
+    """The cross-engine oracle runs the python twin of each compiled
+    kernel as a third engine; a clean case must stay clean and a
+    deliberately broken python result must be reported."""
+    from repro.core.metrics import SimResult
     from repro.verify.oracle import VerifyCase, check_case
 
     case = VerifyCase.make([[1, 2, 1, 3], [10, 11, 10]], 4, 1)
     assert check_case(case) == []
+
+    def broken(workload, K, tau):
+        good = PYTHON["S_MARK"](workload, K, tau)
+        return SimResult(good.faults_per_core, good.hits_per_core,
+                         good.completion_times, good.total_steps + 1, None)
+
+    monkeypatch.setattr(shared, "fast_shared_marking", broken)
+    found = check_case(case, strategies=["S_MARK"])
+    assert [(d.kind, d.strategy) for d in found] == [
+        ("kernel_mismatch", "S_MARK_python")
+    ]
 
 
 def _sweep_workload(seed):
@@ -213,54 +187,44 @@ def _sweep_workload(seed):
 
 
 def test_batch_run_batched_path_matches_scalar(monkeypatch, tmp_path):
-    """`batch_run`'s serial batched path: same aggregates as the scalar
-    loop, and cache fingerprints shared both ways (a batched sweep warms
-    the cache for a scalar one and vice versa)."""
+    """`batch_run` gives the same aggregates on the compiled and the
+    python kernels, and their cache fingerprints are shared both ways (a
+    compiled sweep warms the cache for a python one and vice versa)."""
     seeds = range(10)
-    monkeypatch.setenv("REPRO_BATCH_MIN", "1000000")  # force scalar loop
-    scalar = batch_run(
+    run = lambda cache_dir: batch_run(  # noqa: E731
         "lru", _sweep_workload, lambda: SharedStrategy(LRUPolicy),
-        6, 1, seeds, cache=True, cache_dir=tmp_path,
+        6, 1, seeds, cache=True, cache_dir=cache_dir,
     )
-    assert scalar.cache_hits == 0
-    monkeypatch.setenv("REPRO_BATCH_MIN", "2")  # force batched path
-    batched = batch_run(
-        "lru", _sweep_workload, lambda: SharedStrategy(LRUPolicy),
-        6, 1, seeds, cache=True, cache_dir=tmp_path,
-    )
-    # Every replica must be served from the scalar run's cache entries.
-    assert batched.cache_hits == len(list(seeds))
-    assert batched.faults == scalar.faults
-    assert batched.makespans == scalar.makespans
+    fast = run(tmp_path)
+    assert fast.cache_hits == 0
+    with monkeypatch.context() as m:
+        m.setitem(compiled._state, "lib", None)  # as if the build failed
+        slow = run(tmp_path)
+        cold = run(tmp_path / "cold")
+    # Every replica must be served from the compiled run's cache entries.
+    assert slow.cache_hits == len(list(seeds))
+    assert slow.faults == fast.faults
+    assert slow.makespans == fast.makespans
 
-    # And the reverse: a batched cold run warms the cache for scalar.
-    cold_dir = tmp_path / "cold"
-    cold = batch_run(
-        "lru", _sweep_workload, lambda: SharedStrategy(LRUPolicy),
-        6, 1, seeds, cache=True, cache_dir=cold_dir,
-    )
+    # And the reverse: a python cold run warms the cache for compiled.
     assert cold.cache_hits == 0
-    assert cold.faults == scalar.faults
-    monkeypatch.setenv("REPRO_BATCH_MIN", "1000000")
-    rescan = batch_run(
-        "lru", _sweep_workload, lambda: SharedStrategy(LRUPolicy),
-        6, 1, seeds, cache=True, cache_dir=cold_dir,
-    )
-    assert rescan.cache_hits == len(list(seeds))
+    assert cold.faults == fast.faults
+    assert run(tmp_path / "cold").cache_hits == len(list(seeds))
 
 
 def test_batch_run_batched_path_no_cache(monkeypatch):
     seeds = range(8)
-    monkeypatch.setenv("REPRO_BATCH_MIN", "2")
-    batched = batch_run(
+    run = lambda: batch_run(  # noqa: E731
         "fifo", _sweep_workload, lambda: SharedStrategy(FIFOPolicy),
         6, 1, seeds,
     )
-    monkeypatch.setenv("REPRO_BATCH_MIN", "1000000")
-    scalar = batch_run(
-        "fifo", _sweep_workload, lambda: SharedStrategy(FIFOPolicy),
-        6, 1, seeds,
+    fast = run()
+    monkeypatch.setitem(compiled._state, "lib", None)
+    slow = run()
+    assert fast.faults == slow.faults
+    assert fast.makespans == slow.makespans
+    assert fast.seeds == slow.seeds
+    assert fast.faults == tuple(
+        PYTHON["S_FIFO"](_sweep_workload(s), 6, 1).total_faults
+        for s in seeds
     )
-    assert batched.faults == scalar.faults
-    assert batched.makespans == scalar.makespans
-    assert batched.seeds == scalar.seeds

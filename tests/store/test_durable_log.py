@@ -217,6 +217,27 @@ class TestSnapshots:
             assert log.recovered_from_snapshot
             assert log.completed == {i: {"v": _HOLE * i} for i in range(9)}
 
+    def test_a_snapshot_larger_than_one_write_is_canonical(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+
+        def pre_serialize(items):
+            return [[k, Serialized(v)] if k % 2 else [k, v] for k, v in items]
+
+        big = "x" * 50_000  # 40 values: the text spans several writes
+        with DurableLog(path, FP, snapshot_every=40,
+                        compact_items=pre_serialize) as log:
+            for i in range(41):
+                log.record(i, {"v": i, "pad": big})
+        snap = sorted(path.parent.glob("j.jsonl.*.snap"))[-1]
+        text = snap.read_text(encoding="utf-8")
+        assert len(text) > 1 << 20  # more than one 1 MB write
+        body = json.loads(text)
+        assert body["sha256"] == snapshot_checksum(body)
+        assert text == json.dumps(body, sort_keys=True)
+        with DurableLog(path, FP, snapshot_every=40) as log:
+            assert log.completed == {
+                i: {"v": i, "pad": big} for i in range(41)}
+
     def test_snapshot_checksum_covers_items(self):
         body = {"snapshot": 1, "count": 2, "items": [[1, 2]]}
         digest = snapshot_checksum(body)
