@@ -86,7 +86,7 @@ def test_dp_pif_toy(benchmark):
 
 
 def test_fast_shared_lru(benchmark, workload):
-    from repro.core.fastsim import fast_shared_lru
+    from repro.core.kernels.shared import fast_shared_lru
 
     result = benchmark(lambda: fast_shared_lru(workload, K, TAU))
     assert result.total_faults > 0

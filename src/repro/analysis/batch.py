@@ -25,7 +25,11 @@ the workload generators emit — do).
 Everything passed in must be picklable for ``parallel=True`` (module-level
 functions and the library's strategies/factories are).  The factories are
 shipped once per worker via the pool initializer, not re-pickled with
-every job, and jobs are submitted in explicit chunks.
+every job.  Parallel runs go through
+:func:`~repro.runtime.supervisor.supervised_map`: an unsupervised run
+submits its seeds in chunks, a few per worker, and a supervised one
+submits one seed per job so each replica is timed, retried and
+journaled on its own.
 
 Long sweeps get supervision (docs/ROBUSTNESS.md): ``timeout_s`` bounds
 one replica's wall clock, ``retries``/``retry_backoff_s`` retry failed or
@@ -48,7 +52,6 @@ import pickle
 import shutil
 import tempfile
 from collections.abc import Callable, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -57,7 +60,8 @@ import numpy as np
 from repro._util import default_cache_dir
 from repro.core.kernels import simulate_fast
 from repro.runtime import chaos
-from repro.runtime.supervisor import Journal, supervised_map
+from repro.runtime.supervisor import ReplicaFailure, SweepError, supervised_map
+from repro.store.durable import DurableLog
 from repro.store.fs import fsync_dir
 
 __all__ = [
@@ -298,13 +302,14 @@ def _init_worker(workload_factory, strategy_factory, cache_size, tau, cache_root
     _WORKER_CTX = (workload_factory, strategy_factory, cache_size, tau, cache_root)
 
 
-def _seed_replica(seed):
-    return _run_replica(*_WORKER_CTX[:4], seed, _WORKER_CTX[4])
-
-
 def _seed_replica_attempt(seed, attempt):
     """Supervised-pool entry point: the attempt number scopes chaos."""
     return _run_replica(*_WORKER_CTX[:4], seed, _WORKER_CTX[4], attempt)
+
+
+def _seed_chunk(seeds, attempt):
+    """Unsupervised entry point: one job runs a chunk of seeds."""
+    return [_seed_replica_attempt(seed, attempt) for seed in seeds]
 
 
 def _journal_fingerprint(label, strategy_factory, cache_size, tau) -> str:
@@ -414,8 +419,6 @@ def batch_run(
             if o.ok
         )
         if sweep.failed_seeds and on_failure != "record":
-            from repro.runtime.supervisor import ReplicaFailure, SweepError
-
             raise SweepError(
                 [
                     ReplicaFailure(
@@ -448,7 +451,7 @@ def batch_run(
     resumed: dict = {}
     todo = seeds
     if journal is not None:
-        journal_obj = Journal(
+        journal_obj = DurableLog(
             journal,
             _journal_fingerprint(label, strategy_factory, cache_size, tau),
         )
@@ -460,9 +463,9 @@ def batch_run(
         todo = [seed for seed in seeds if seed not in resumed]
 
     def record(seed, outcome, attempt=0) -> None:
-        # The 3-arg supervised_map form delivers the 0-based attempt that
-        # succeeded; journaling attempts = attempt + 1 makes flaky
-        # replicas visible post-hoc (docs/ROBUSTNESS.md).
+        # supervised_map delivers the 0-based attempt that succeeded;
+        # journaling attempts = attempt + 1 makes flaky replicas visible
+        # post-hoc (docs/ROBUSTNESS.md).
         if journal_obj is not None:
             _seed, faults, makespan, _hit = outcome
             journal_obj.record(
@@ -478,39 +481,38 @@ def batch_run(
     try:
         if parallel and len(todo) > 1:
             workers = max_workers or min(len(todo), os.cpu_count() or 1)
-            initargs = (
-                workload_factory,
-                strategy_factory,
-                cache_size,
-                tau,
-                cache_root,
-            )
             if supervised:
-                results, failures = supervised_map(
-                    _seed_replica_attempt,
-                    todo,
-                    max_workers=workers,
-                    initializer=_init_worker,
-                    initargs=initargs,
-                    timeout_s=timeout_s,
-                    retries=retries,
-                    backoff_s=retry_backoff_s,
-                    on_result=record,
-                    on_failure=(
-                        "record" if on_failure == "record" else "raise"
-                    ),
-                )
-                outcomes = list(results.values())
+                fn, items = _seed_replica_attempt, todo
             else:
-                chunksize = max(1, len(todo) // (workers * 4))
-                with ProcessPoolExecutor(
-                    max_workers=workers,
-                    initializer=_init_worker,
-                    initargs=initargs,
-                ) as pool:
-                    outcomes = list(
-                        pool.map(_seed_replica, todo, chunksize=chunksize)
-                    )
+                # A few chunks per worker keep per-job IPC a small share
+                # of the work; nothing is timed or retried per seed.
+                size = max(1, len(todo) // (workers * 4))
+                fn = _seed_chunk
+                items = [
+                    tuple(todo[i : i + size])
+                    for i in range(0, len(todo), size)
+                ]
+            results, failures = supervised_map(
+                fn,
+                items,
+                max_workers=workers,
+                initializer=_init_worker,
+                initargs=(
+                    workload_factory,
+                    strategy_factory,
+                    cache_size,
+                    tau,
+                    cache_root,
+                ),
+                timeout_s=timeout_s,
+                retries=retries,
+                backoff_s=retry_backoff_s,
+                on_result=record,
+                on_failure="record" if on_failure == "record" else "raise",
+            )
+            outcomes = list(results.values())
+            if not supervised:
+                outcomes = [outcome for chunk in outcomes for outcome in chunk]
         else:
             outcomes = []
             for seed in todo:
@@ -551,8 +553,6 @@ def _run_serial_replica(
     need a killable worker process).  Returns the outcome tuple, or
     ``None`` when the replica failed and ``on_failure="record"``."""
     import time as _time
-
-    from repro.runtime.supervisor import ReplicaFailure, SweepError
 
     for attempt in range(retries + 1):
         try:

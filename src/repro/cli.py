@@ -14,13 +14,11 @@ Commands
     metric tables, journaled resume, cache-hit reruns (docs/PLATFORM.md).
 ``compare RUN_A RUN_B [--rel-tol 0.01]``
     Regression/diff report between two registry runs; exits non-zero on
-    any surviving difference (the CI gate).  Invoked with no run IDs it
-    falls back to the deprecated strategy-panel alias (see ``panel``).
+    any surviving difference (the CI gate).
 ``runs [--runs-dir DIR]``
     List the completed runs in the registry.
 ``panel --workload zipf --tau 4 [...]``
-    Run the strategy panel on a generated workload and tabulate faults
-    (formerly ``compare``).
+    Run the strategy panel on a generated workload and tabulate faults.
 ``simulate --workload-file w.trace --strategy S_LRU -K 8 --tau 1``
     Simulate one strategy on a workload from a trace file.
 ``generate --workload phased -p 4 -n 500 --output w.trace``
@@ -228,27 +226,13 @@ def cmd_panel(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    """Dual verb: two run IDs → registry run diff; none → the deprecated
-    strategy-panel alias (``repro panel`` is the new name)."""
-    refs = args.runs or []
-    if len(refs) == 2:
-        return _cmd_run_diff(args, refs)
-    if refs:
-        raise SystemExit(
-            "compare takes exactly two run references (run diff) or none "
-            "(deprecated panel alias; use `repro panel`)"
-        )
-    print(
-        "warning: `repro compare` without run IDs is deprecated; "
-        "use `repro panel` for the strategy panel",
-        file=sys.stderr,
-    )
-    return cmd_panel(args)
-
-
-def _cmd_run_diff(args, refs) -> int:
+    """Diff two registry runs."""
     from repro.platform import RunNotFound, diff_runs, resolve_run
 
+    refs = args.runs
+    if len(refs) != 2:
+        # argparse's own nargs=2 error would not name the verb's contract.
+        raise SystemExit("compare takes exactly two run references")
     try:
         run_a = resolve_run(refs[0], args.runs_dir)
         run_b = resolve_run(refs[1], args.runs_dir)
@@ -917,17 +901,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.set_defaults(func=cmd_panel)
 
-    sub = subs.add_parser(
-        "compare",
-        help="diff two registry runs (or, deprecated, the strategy panel)",
-    )
+    sub = subs.add_parser("compare", help="diff two registry runs")
     sub.add_argument(
         "runs",
         nargs="*",
-        default=None,
         metavar="RUN",
-        help="two run references (IDs, unique prefixes, or folder paths); "
-        "omit both for the deprecated panel alias",
+        help="two run references (IDs, unique prefixes, or folder paths)",
     )
     sub.add_argument(
         "--runs-dir",
@@ -943,10 +922,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument(
         "--markdown", action="store_true", help="render the diff as markdown"
-    )
-    _add_workload_args(sub)
-    sub.add_argument(
-        "--strategies", nargs="*", default=None, help=STRATEGY_HELP
     )
     sub.set_defaults(func=cmd_compare)
 

@@ -5,8 +5,8 @@ This package implements the model of Section 3 of López-Ortiz & Salinger,
 """
 
 from repro.core.cache import CacheCell, CacheState
-from repro.core.fastsim import fast_shared_lru
 from repro.core.kernels import kernel_for, simulate_fast, simulate_fast_batch
+from repro.core.kernels.shared import fast_shared_lru
 from repro.core.metrics import SimResult
 from repro.core.oracle import FutureOracle
 from repro.core.request import RequestSequence, Workload

@@ -10,7 +10,7 @@ Folder layout::
 
     .repro_runs/<run_id>/
         spec.lock.json     # the locked canonical spec (what actually ran)
-        journal.jsonl      # runtime.Journal manifest; interrupted runs resume
+        journal.jsonl      # DurableLog manifest; interrupted runs resume
         metrics/E1.json    # one deterministic metric table per experiment
         errors/E3.json     # replay descriptor per crashed experiment
         run.json           # summary: env stamp, wall times, verdicts (written last)

@@ -5,7 +5,7 @@ experiments in id order with per-experiment crash isolation (a crashing
 experiment becomes an ``ERROR`` result carrying a replica fingerprint
 instead of aborting its neighbours) and is what ``repro report`` now
 wraps.  :func:`run_spec` adds the registry half: results stream into a
-:class:`repro.runtime.supervisor.Journal` under the run folder as they
+:class:`repro.store.DurableLog` under the run folder as they
 complete, so a SIGKILLed run re-invoked with the same spec resumes where
 it left off, and a *completed* run folder is returned whole as a cache
 hit without executing anything.
@@ -290,7 +290,7 @@ def run_spec(
     * An **interrupted** folder (journal present, ``run.json`` absent)
       resumes: journaled experiments are restored, the rest run.
     * Each experiment's payload is journaled the moment it completes
-      (crash-safe via :class:`repro.runtime.supervisor.Journal`), and the
+      (crash-safe via :class:`repro.store.DurableLog`), and the
       folder is finalised — metric tables, error replay descriptors,
       ``run.json`` — only after the last one.
     * ``executor`` (or a remote ``executor`` spec section) scatters the

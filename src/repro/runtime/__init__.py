@@ -7,17 +7,19 @@ Three layers, built to keep long runs alive (docs/ROBUSTNESS.md):
     through every exponential solver; on exhaustion the solver raises
     :class:`BudgetExceeded` carrying a :class:`BoundedResult` interval
     around the exact answer instead of hanging.
+:mod:`repro.runtime.pool`
+    :class:`WarmWorkerPool` — the one process supervisor: per-attempt
+    timeouts, bounded retries with backoff, pool rebuild, health-checked
+    recycling, and workers that exit with their owner.  Its
+    :meth:`~WarmWorkerPool.map` runs every local sweep and its
+    :meth:`~WarmWorkerPool.run_one` every served job.
 :mod:`repro.runtime.supervisor`
-    :func:`supervised_map` — process-pool execution with per-item
-    timeouts, bounded retries, pool restart — and :class:`Journal`,
-    the append-only manifest that makes interrupted sweeps resumable.
+    :func:`supervised_map` — one :meth:`WarmWorkerPool.map` call on a
+    pool that lives for that call only.  The journals that make
+    interrupted sweeps resumable are :class:`repro.store.DurableLog`.
 :mod:`repro.runtime.chaos`
     Deterministic fault injection (``REPRO_CHAOS``) — worker crashes,
     slow replicas, cache corruption — used to test the other two layers.
-:mod:`repro.runtime.pool`
-    :class:`WarmWorkerPool` — a persistent supervised worker pool with
-    health-checked recycling (the job service's steady-state execution
-    engine; supervised_map semantics without a pool build per job).
 :mod:`repro.runtime.breaker`
     :class:`CircuitBreaker` — per-call-class failure isolation
     (CLOSED/OPEN/HALF_OPEN) used by the job service's admission control.
@@ -43,7 +45,6 @@ from repro.runtime.chaos import (
 from repro.runtime.drain import DrainSignal
 from repro.runtime.pool import WarmWorkerPool, WorkerJobFailed
 from repro.runtime.supervisor import (
-    Journal,
     JournalMismatch,
     ReplicaFailure,
     SweepError,
@@ -59,7 +60,6 @@ __all__ = [
     "CircuitBreaker",
     "CircuitOpen",
     "DrainSignal",
-    "Journal",
     "JournalMismatch",
     "ReplicaFailure",
     "SweepError",

@@ -1,38 +1,56 @@
-"""Persistent warm worker pool with health-checked recycling.
+"""The supervised worker pool: every process pool in the package.
 
-:func:`repro.runtime.supervisor.supervised_map` builds and tears down a
-``ProcessPoolExecutor`` per call — correct, but a service executing one
-job per call pays a full fork/spawn on *every* job.  The
-:class:`WarmWorkerPool` keeps one supervised pool alive across jobs:
+``ProcessPoolExecutor.map`` dies wholesale: one hung item stalls the run
+forever, one crashed worker poisons the pool and every outstanding
+future raises ``BrokenProcessPool``, and an interrupt throws away every
+completed result.  :class:`WarmWorkerPool` is the one supervisor that
+wraps it.  :func:`repro.runtime.supervisor.supervised_map` opens one for
+a single call (local sweeps, ``batch_run(parallel=True)``), and the job
+service keeps one warm per worker thread.  :meth:`WarmWorkerPool.map`
+adds the supervision a long run needs:
 
-* **warm dispatch** — the worker process persists between jobs, so
-  steady-state dispatch is a pickle round-trip, not a process start;
-* **kill-rebuild-retry** — a hung attempt (``timeout_s``) or a crashed
-  worker (``BrokenProcessPool``) kills the pool, rebuilds it, charges
-  the attempt, and retries with exponential backoff — exactly
-  supervised_map's semantics, preserved one job at a time;
-* **health-checked recycling** — after ``recycle_after`` completed jobs
+* **per-attempt timeouts** — items are submitted in a sliding window of
+  at most ``max_workers`` in-flight attempts (so submission time ≈ start
+  time), and an attempt that exceeds ``timeout_s`` has its pool killed
+  and rebuilt rather than stalling the run; in-flight bystanders are
+  resubmitted without being charged an attempt;
+* **bounded retries with backoff** — a failed attempt (worker exception,
+  crashed worker, timeout) is retried up to ``retries`` times with
+  exponential backoff.  On ``BrokenProcessPool`` the culprit is
+  unknowable, so every in-flight item is charged an attempt; a pool
+  found broken at submit (a worker died while idle) is rebuilt without
+  charging anyone, since the item never ran;
+* **typed failure** — an item out of retries becomes a
+  :class:`ReplicaFailure` carrying the *last worker-raised* error with
+  its remote traceback (an infrastructure failure never clobbers the
+  diagnosable signal); ``on_failure="raise"`` turns the first one into
+  :class:`SweepError`;
+* **incremental results** — ``on_result`` fires in the owner as each
+  item completes, which is what lets callers journal progress and
+  survive interrupts;
+* **warm dispatch** — the workers persist between calls, so steady-state
+  dispatch is a pickle round-trip, not a process start;
+  :meth:`~WarmWorkerPool.run_one` is :meth:`~WarmWorkerPool.map` over
+  one item;
+* **health-checked recycling** — after ``recycle_after`` completed items
   the pool is retired and a fresh one is probed with a trivial task
   before taking traffic (bounding leaked-state / memory-drift exposure,
-  the classic ``maxtasksperchild`` discipline); a pool that was rebuilt
-  after a crash is probed the same way.  The recycle runs between jobs
-  (:meth:`~WarmWorkerPool.recycle_if_due`, or first thing in the next
-  :meth:`~WarmWorkerPool.run_one`), never before the job that made it
-  due has returned its value;
-* **typed failure** — an exhausted retry budget raises
-  :class:`WorkerJobFailed` carrying the attempt count and the *last
-  worker-raised* error with its remote traceback (an infrastructure
-  failure never clobbers the diagnosable signal);
+  the classic ``maxtasksperchild`` discipline).  The recycle runs
+  between calls (:meth:`~WarmWorkerPool.recycle_if_due`, or first thing
+  in the next :meth:`~WarmWorkerPool.map`), never between two items of
+  one call, where it would kill in-flight bystanders.  A pool killed
+  after a crash or a timeout is not probed: it is rebuilt lazily at the
+  next submit;
 * **workers die with their owner** — every worker restores the default
   SIGTERM action (a fork inherits the owner's handlers, e.g. a serving
   loop's drain latch, which would make it ignore SIGTERM), ignores
   SIGINT (a terminal's Ctrl-C reaches the whole process group; the owner
   drains and reaps its workers), and exits once its parent process is
-  gone, so a SIGKILLed server leaves no worker behind.
+  gone, so a SIGKILLed owner leaves no worker behind.
 
-A pool instance is **single-owner**: one thread calls :meth:`run_one`
-(the job service gives each worker thread its own pool).  :meth:`stats`
-is safe to read from other threads (readiness reporting).
+A pool instance is **single-owner**: one thread calls :meth:`map` and
+:meth:`run_one` (the job service gives each worker thread its own pool).
+:meth:`stats` is safe to read from other threads (readiness reporting).
 """
 
 from __future__ import annotations
@@ -45,13 +63,34 @@ import sys
 import threading
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeout
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
 
-from repro.runtime.supervisor import _kill_pool
+__all__ = ["ReplicaFailure", "SweepError", "WarmWorkerPool", "WorkerJobFailed"]
 
-__all__ = ["WarmWorkerPool", "WorkerJobFailed"]
+
+@dataclass(frozen=True)
+class ReplicaFailure:
+    """One work item that exhausted its retry budget."""
+
+    item: object
+    attempts: int
+    error: str
+
+    def describe(self) -> str:
+        return f"{self.item!r} failed after {self.attempts} attempt(s): {self.error}"
+
+
+class SweepError(RuntimeError):
+    """A supervised map aborted on an unrecoverable item failure."""
+
+    def __init__(self, failures: list[ReplicaFailure]):
+        self.failures = list(failures)
+        super().__init__(
+            "; ".join(f.describe() for f in self.failures) or "sweep failed"
+        )
 
 
 class WorkerJobFailed(RuntimeError):
@@ -61,6 +100,24 @@ class WorkerJobFailed(RuntimeError):
         self.error = error
         self.attempts = attempts
         super().__init__(f"failed after {attempts} attempt(s): {error}")
+
+
+def _kill_pool(pool: ProcessPoolExecutor) -> None:
+    """Tear a pool down even if workers are wedged: cancel what is queued,
+    terminate the worker processes, then reap them."""
+    # Snapshot the workers first: shutdown() sets _processes to None.
+    processes = list((getattr(pool, "_processes", None) or {}).values())
+    pool.shutdown(wait=False, cancel_futures=True)
+    for proc in processes:
+        try:
+            proc.terminate()
+        except (OSError, ValueError):  # pragma: no cover - already dead
+            pass
+    for proc in processes:
+        try:
+            proc.join(timeout=5)
+        except (OSError, ValueError):  # pragma: no cover
+            pass
 
 
 def _describe_exception(exc: BaseException) -> str:
@@ -75,6 +132,16 @@ def _describe_exception(exc: BaseException) -> str:
             traceback.format_exception(type(exc), exc, exc.__traceback__)
         ).rstrip()
     return text
+
+
+def _backoff(attempt: int, backoff_s: float, jitter: float) -> None:
+    """Sleep before retrying a failed 0-based ``attempt``: ``backoff_s``
+    doubled per attempt, stretched by up to ``jitter`` of itself."""
+    if backoff_s > 0:
+        sleep_s = backoff_s * (2**attempt)
+        if jitter > 0:
+            sleep_s *= 1.0 + jitter * random.random()
+        time.sleep(sleep_s)
 
 
 #: How often a worker checks that the process that forked it is alive.
@@ -192,28 +259,24 @@ class WarmWorkerPool:
         except Exception:
             return False
 
-    def _recycle(self, *, crashed: bool) -> None:
+    def recycle(self) -> None:
         """Retire the pool and stand up a health-checked replacement.
 
         One failed probe gets one rebuild; a second failure is left for
         the next dispatch to surface as a worker error (never loop
         forever pre-warming a machine that cannot fork).
         """
-        self._discard_pool(crashed=crashed)
+        self._discard_pool(crashed=False)
         with self._lock:
             self._recycles += 1
         if not self._probe():
             self._discard_pool(crashed=True)
             self._probe()
 
-    def recycle(self) -> None:
-        """Force a graceful recycle (rarely needed outside tests)."""
-        self._recycle(crashed=False)
-
     def recycle_if_due(self) -> bool:
-        """Recycle now if ``recycle_after`` jobs have completed since the
+        """Recycle now if ``recycle_after`` items have completed since the
         last one; ``True`` when it did.  The owner calls this between
-        jobs, after delivering the previous result, so a recycle costs
+        calls, after delivering the previous result, so a recycle costs
         idle time instead of delaying a result."""
         with self._lock:
             due = (
@@ -221,7 +284,7 @@ class WarmWorkerPool:
                 and self._jobs_since_recycle >= self.recycle_after
             )
         if due:
-            self._recycle(crashed=False)
+            self.recycle()
         return due
 
     def close(self) -> None:
@@ -239,6 +302,160 @@ class WarmWorkerPool:
 
     # -- dispatch ----------------------------------------------------------
 
+    def map(
+        self,
+        fn,
+        items,
+        *,
+        timeout_s: float | None = None,
+        retries: int = 0,
+        backoff_s: float = 0.1,
+        jitter: float = 0.0,
+        on_result=None,
+        on_failure: str = "raise",
+    ):
+        """Run ``fn(item, attempt)`` over ``items`` under supervision.
+
+        ``fn`` must be picklable (module-level) and is called with the
+        work item and the 0-based attempt number; items must be hashable.
+        Returns ``(results, failures)`` where ``results`` maps each
+        completed item to its return value in input order and
+        ``failures`` lists items that exhausted ``retries`` (empty unless
+        ``on_failure="record"``; with the default ``"raise"`` the first
+        exhausted item raises :class:`SweepError`, after ``on_result``
+        has fired for everything already completed).
+
+        ``timeout_s`` bounds one *attempt's* wall clock, measured from
+        submission; the sliding submission window keeps queue wait out of
+        that measurement.  ``jitter`` (a fraction in [0, 1]) stretches
+        each backoff sleep by up to that fraction of its nominal length,
+        de-synchronising retry storms when many pools share a machine;
+        the default 0.0 keeps backoff deterministic for tests.
+
+        ``on_result(item, value, attempt)`` fires as each item completes,
+        with the 0-based attempt that *succeeded* (so ``attempt + 1``
+        attempts were consumed), which is how journaling callers record
+        per-replica retry counts (docs/ROBUSTNESS.md).
+
+        A call that stops early (a :class:`SweepError`, an exception from
+        ``on_result``, an interrupt) kills the attempts still in flight
+        with their pool, so the pool it leaves has no busy worker.
+        """
+        if on_failure not in ("raise", "record"):
+            raise ValueError(
+                f"on_failure must be 'raise' or 'record', got {on_failure!r}"
+            )
+        if not 0.0 <= jitter <= 1.0:
+            raise ValueError(f"jitter must be in [0, 1], got {jitter}")
+        items = list(items)
+        results: dict = {}
+        failures: list[ReplicaFailure] = []
+        pending: deque = deque((item, 0) for item in items)
+        inflight: dict = {}  # future -> (item, attempt, submit time)
+        # Last *worker-raised* error per item, with its remote traceback.  A
+        # later infrastructure failure (pool break, timeout) must not clobber
+        # it in the final ReplicaFailure: the original traceback is the
+        # diagnosable signal, "worker process died" is not.
+        last_real_error: dict = {}
+
+        def note_failure(item, attempt: int, error: str) -> None:
+            """Charge one attempt; requeue or (beyond ``retries``) fail."""
+            if attempt < retries:
+                _backoff(attempt, backoff_s, jitter)
+                pending.append((item, attempt + 1))
+                return
+            prior = last_real_error.get(item)
+            if prior is not None and prior not in error:
+                error = f"{error}; last worker error: {prior}"
+            failures.append(ReplicaFailure(item, attempt + 1, error))
+            if on_failure == "raise":
+                raise SweepError(failures)
+
+        self.recycle_if_due()  # one the owner left pending
+        try:
+            while pending or inflight:
+                while pending and len(inflight) < self.max_workers:
+                    item, attempt = pending.popleft()
+                    try:
+                        future = self._ensure_pool().submit(fn, item, attempt)
+                    except BrokenProcessPool:
+                        # A worker died since the last wait, while idle or
+                        # beside a job that finished: this item never ran.
+                        # In-flight futures fail with the pool and take the
+                        # charged rebuild path below.
+                        pending.appendleft((item, attempt))
+                        if inflight:
+                            break
+                        self._discard_pool(crashed=True)
+                        continue
+                    inflight[future] = (item, attempt, time.monotonic())
+                wait_s = None
+                if timeout_s is not None:
+                    oldest = min(t0 for _, _, t0 in inflight.values())
+                    wait_s = max(0.0, oldest + timeout_s - time.monotonic())
+                done, _ = wait(
+                    inflight, timeout=wait_s, return_when=FIRST_COMPLETED
+                )
+                broken = False
+                for future in done:
+                    item, attempt, _t0 = inflight.pop(future)
+                    try:
+                        value = future.result()
+                    except BrokenProcessPool:
+                        broken = True
+                        note_failure(item, attempt, "worker process died")
+                    except Exception as exc:
+                        last_real_error[item] = _describe_exception(exc)
+                        note_failure(item, attempt, last_real_error[item])
+                    else:
+                        results[item] = value
+                        with self._lock:
+                            self._jobs_done += 1
+                            self._jobs_since_recycle += 1
+                        if on_result is not None:
+                            on_result(item, value, attempt)
+                if broken:
+                    # The pool is poisoned: every other in-flight future
+                    # raises BrokenProcessPool too.  The culprit is
+                    # unknowable, so each is (conservatively) charged.
+                    victims = list(inflight.values())
+                    inflight.clear()
+                    self._discard_pool(crashed=True)
+                    for item, attempt, _t0 in victims:
+                        note_failure(
+                            item, attempt, "worker process died (pool broke)"
+                        )
+                elif not done and timeout_s is not None:
+                    now = time.monotonic()
+                    overdue = [
+                        (item, attempt)
+                        for item, attempt, t0 in inflight.values()
+                        if now - t0 > timeout_s
+                    ]
+                    if overdue:
+                        # No cooperative cancel exists for a running worker:
+                        # kill the pool, resubmit the bystanders attempt-free,
+                        # charge the overdue items.
+                        bystanders = [
+                            (item, attempt)
+                            for item, attempt, t0 in inflight.values()
+                            if now - t0 <= timeout_s
+                        ]
+                        inflight.clear()
+                        self._discard_pool(crashed=True)
+                        pending.extendleft(reversed(bystanders))
+                        for item, attempt in overdue:
+                            note_failure(
+                                item, attempt, f"timed out after {timeout_s}s"
+                            )
+        finally:
+            if inflight:
+                # Stopped early: kill the attempts still running with their
+                # pool, so no busy worker outlives this call.
+                self._discard_pool(crashed=False)
+        ordered = {item: results[item] for item in items if item in results}
+        return ordered, failures
+
     def run_one(
         self,
         fn,
@@ -249,48 +466,27 @@ class WarmWorkerPool:
         backoff_s: float = 0.1,
         jitter: float = 0.0,
     ):
-        """Run ``fn(item, attempt)`` in the warm pool under supervision.
+        """Run ``fn(item, attempt)`` in the warm pool: :meth:`map` over one
+        item.
 
         Returns ``(value, attempts)`` on success.  Raises
         :class:`WorkerJobFailed` once ``retries`` extra attempts are
         exhausted; the pool survives either way (rebuilt if it crashed).
         """
-        if not 0.0 <= jitter <= 1.0:
-            raise ValueError(f"jitter must be in [0, 1], got {jitter}")
-        self.recycle_if_due()  # one the owner left pending
-        last_real_error: str | None = None
-        error = "never attempted"
-        for attempt in range(retries + 1):
-            pool = self._ensure_pool()
-            try:
-                # submit itself raises BrokenProcessPool when the pool
-                # died between jobs — same rebuild path as a mid-job death.
-                value = pool.submit(fn, item, attempt).result(timeout=timeout_s)
-            except FuturesTimeout:
-                # No cooperative cancel exists for a wedged worker: kill
-                # the pool and charge the attempt.
-                error = f"timed out after {timeout_s}s"
-                self._discard_pool(crashed=True)
-            except BrokenProcessPool:
-                error = "worker process died"
-                self._discard_pool(crashed=True)
-            except Exception as exc:
-                # The worker raised: the pool itself is healthy.
-                last_real_error = _describe_exception(exc)
-                error = last_real_error
-            else:
-                with self._lock:
-                    self._jobs_done += 1
-                    self._jobs_since_recycle += 1
-                return value, attempt + 1
-            if attempt < retries and backoff_s > 0:
-                sleep_s = backoff_s * (2**attempt)
-                if jitter > 0:
-                    sleep_s *= 1.0 + jitter * random.random()
-                time.sleep(sleep_s)
-        if last_real_error is not None and last_real_error not in error:
-            error = f"{error}; last worker error: {last_real_error}"
-        raise WorkerJobFailed(error, retries + 1)
+        succeeded = []
+        results, failures = self.map(
+            fn,
+            [item],
+            timeout_s=timeout_s,
+            retries=retries,
+            backoff_s=backoff_s,
+            jitter=jitter,
+            on_result=lambda _item, _value, attempt: succeeded.append(attempt),
+            on_failure="record",
+        )
+        if failures:
+            raise WorkerJobFailed(failures[0].error, failures[0].attempts)
+        return results[item], succeeded[0] + 1
 
     # -- introspection -----------------------------------------------------
 

@@ -1,10 +1,10 @@
 """Job execution: what actually runs inside a service worker process.
 
 :func:`execute_payload` is the (picklable, module-level) entry point the
-server hands to :func:`repro.runtime.supervisor.supervised_map`.  It is
+server hands to :meth:`repro.runtime.pool.WarmWorkerPool.run_one`.  It is
 deliberately transport-shaped: the payload crosses the pool boundary as
-a JSON string (hashable, so ``supervised_map`` can key results by it)
-carrying the job id, kind, params, and deadline.
+a JSON string (hashable, so the pool can key results by it) carrying
+the job id, kind, params, and deadline.
 
 Robustness contract per kind:
 

@@ -1,7 +1,7 @@
-"""Crash-safe, journaled job store (event-sourced on :class:`Journal`).
+"""Crash-safe, journaled job store (event-sourced on :class:`DurableLog`).
 
 Every mutation — submission, state transition, structured event — is one
-JSONL line appended to a :class:`repro.runtime.supervisor.Journal`
+JSONL line appended to a :class:`repro.store.DurableLog`
 before the in-memory view changes, so the store's durable state is
 always at least as new as what callers observed.  A SIGKILL at any point
 loses at most the line in flight, which the journal's

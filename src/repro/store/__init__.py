@@ -8,9 +8,9 @@ Three pieces (docs/ROBUSTNESS.md has the guarantees table):
 :mod:`repro.store.durable`
     :class:`DurableLog` — the append-only log with checksummed
     snapshots, segment compaction, generation headers, and recovery to
-    a consistent prefix from a crash at any byte.  ``runtime.Journal``,
-    the service job store, platform run journals and fleet sweep
-    journals are all this class;
+    a consistent prefix from a crash at any byte.  Batch sweep
+    journals, the service job store, platform run journals and fleet
+    sweep journals are all this class;
 :mod:`repro.store.fsck`
     offline integrity checking (``repro fsck``) over the batch cache,
     the run registry, and durable logs, with quarantine-based repair.

@@ -1,7 +1,7 @@
 """Crash-consistent durable log: segments + checksummed snapshots.
 
-:class:`DurableLog` generalises the append-only JSONL journal
-(:class:`repro.runtime.supervisor.Journal`) into a store that stays
+:class:`DurableLog` generalises an append-only JSONL journal (one
+fingerprinted header, one flushed line per record) into a store that stays
 both *consistent* and *bounded* over a long service lifetime:
 
 * **append-only segments** — records land as flushed JSONL lines, each
@@ -54,8 +54,8 @@ from repro.store.fs import fsync_dir
 class _LazyChaos:
     """Deferred import of :mod:`repro.runtime.chaos`.
 
-    ``runtime.supervisor`` subclasses :class:`DurableLog` (the legacy
-    ``Journal`` shim), so importing chaos at module scope here would be
+    ``runtime.supervisor`` re-exports :class:`JournalMismatch` from
+    here, so importing chaos at module scope here would be
     circular whenever ``repro.store`` loads before ``repro.runtime``.
     The first attribute access swaps in the real module.
     """

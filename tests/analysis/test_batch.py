@@ -1,12 +1,21 @@
 """Tests for seed-replicated batch runs."""
 
+import pytest
+
 from repro import LRUPolicy, SharedStrategy
 from repro.analysis import batch_run, summarize
+from repro.runtime.supervisor import SweepError
 from repro.workloads import uniform_workload
 
 
 def make_workload(seed):
     return uniform_workload(2, 40, 5, seed=seed)
+
+
+def fail_on_seed_5(seed):
+    if seed == 5:
+        raise ValueError("distinctive-workload-error")
+    return make_workload(seed)
 
 
 def make_strategy():
@@ -40,6 +49,26 @@ class TestBatchRun:
         )
         assert serial.faults == parallel.faults
         assert serial.makespans == parallel.makespans
+
+    def test_parallel_chunks_of_seeds_match_serial(self):
+        # 40 seeds on 2 workers: every job carries a chunk of 5 seeds.
+        serial = batch_run(
+            "x", make_workload, make_strategy, 4, 1, seeds=range(40)
+        )
+        parallel = batch_run(
+            "x", make_workload, make_strategy, 4, 1, seeds=range(40),
+            parallel=True, max_workers=2,
+        )
+        assert parallel == serial
+
+    def test_parallel_replica_error_carries_the_worker_traceback(self):
+        with pytest.raises(SweepError) as exc_info:
+            batch_run(
+                "x", fail_on_seed_5, make_strategy, 4, 1, seeds=range(8),
+                parallel=True, max_workers=2,
+            )
+        assert "distinctive-workload-error" in str(exc_info.value)
+        assert "Traceback" in str(exc_info.value)
 
     def test_deterministic_per_seed(self):
         a = batch_run("x", make_workload, make_strategy, 4, 1, seeds=[7])

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import LRUPolicy, SharedStrategy, Workload, simulate
-from repro.core.fastsim import fast_shared_lru
+from repro.core.kernels.shared import fast_shared_lru
 from repro.workloads import (
     lemma4_workload,
     mixed_workload,

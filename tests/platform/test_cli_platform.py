@@ -112,9 +112,3 @@ class TestPanelAndAlias:
         out = capsys.readouterr().out
         assert "S_LRU" in out and "faults" in out
 
-    def test_compare_alias_warns_but_works(self, capsys):
-        assert main(["compare", *self._PANEL_ARGS]) == 0
-        captured = capsys.readouterr()
-        assert "S_LRU" in captured.out
-        assert "deprecated" in captured.err
-        assert "repro panel" in captured.err

@@ -11,12 +11,18 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.runtime.pool import WarmWorkerPool, WorkerJobFailed
+from repro.runtime.pool import SweepError, WarmWorkerPool, WorkerJobFailed
 from repro.service.client import ServiceClient
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
 
-from fleet_smoke import Server, alive, child_pids, outliving  # noqa: E402
+from fleet_smoke import (  # noqa: E402
+    Server,
+    alive,
+    child_pids,
+    outliving,
+    proc_stat,
+)
 
 
 # Pool work functions must be module-level (picklable).  Transient faults
@@ -54,6 +60,21 @@ def _hang_first(pid_path, attempt):
             fh.write(str(os.getpid()))
         time.sleep(60)
     return pid_path
+
+
+def _raise_once_peer_hangs(item, attempt):
+    """``("hang", path)`` writes its pid to ``path`` and hangs;
+    ``("raise", path)`` raises once that peer is running."""
+    kind, path = item
+    if kind == "hang":
+        with open(f"{path}.tmp", "w", encoding="utf-8") as fh:
+            fh.write(str(os.getpid()))
+        os.replace(f"{path}.tmp", path)
+        time.sleep(60)
+    deadline = time.monotonic() + 30
+    while not os.path.exists(path) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    raise ValueError("stop the map")
 
 
 def _signal_actions(item, attempt):
@@ -116,6 +137,16 @@ class TestRecycling:
             assert not pool.recycle_if_due()
             assert pool.run_one(_pid, 2)[0] != first
 
+    def test_due_recycle_never_runs_between_two_items_of_one_map(self):
+        """A recycle kills in-flight bystanders, so one that falls due
+        mid-call waits for the next call."""
+        with WarmWorkerPool(recycle_after=2) as pool:
+            results, _ = pool.map(_pid, range(5))
+            assert len(set(results.values())) == 1
+            assert pool.stats()["recycles"] == 0
+            assert pool.run_one(_pid, 5)[0] not in results.values()
+            assert pool.stats()["recycles"] == 1
+
     def test_manual_recycle(self):
         with WarmWorkerPool() as pool:
             first = pool.run_one(_pid, 0)[0]
@@ -175,6 +206,36 @@ class TestFailureModes:
             # Still usable afterwards.
             assert pool.run_one(_square, 3)[0] == 9
 
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+    def test_idle_worker_death_costs_the_next_job_no_attempt(self):
+        """A worker that dies between jobs breaks the pool at the next
+        submit; that job never ran, so the rebuild charges it nothing."""
+        with WarmWorkerPool() as pool:
+            worker = pool.run_one(_pid, 0)[0]
+            os.kill(worker, signal.SIGKILL)
+            # The executor marks itself broken before it reaps the dead
+            # worker, so once the pid is gone the next submit sees it.
+            deadline = time.monotonic() + 10
+            while proc_stat(worker) is not None:
+                assert time.monotonic() < deadline, "worker never reaped"
+                time.sleep(0.01)
+            assert pool.run_one(_square, 4, retries=0) == (16, 1)
+
+    def test_map_that_stops_early_kills_its_in_flight_attempts(
+        self, tmp_path
+    ):
+        path = str(tmp_path / "hung.pid")
+        with WarmWorkerPool(max_workers=2) as pool:
+            with pytest.raises(SweepError, match="stop the map"):
+                pool.map(
+                    _raise_once_peer_hangs, [("raise", path), ("hang", path)]
+                )
+            with open(path, encoding="utf-8") as fh:
+                hung_pid = int(fh.read())
+            assert outliving([hung_pid], time.monotonic() + 2.0) == []
+            assert pool.stats()["warm"] is False
+            assert pool.run_one(_square, 3)[0] == 9
+
     def test_crash_then_success_pool_still_counts(self):
         with WarmWorkerPool() as pool:
             with pytest.raises(WorkerJobFailed):
@@ -232,9 +293,26 @@ def worker_pid(item, attempt):
 
 if __name__ == "__main__":
     multiprocessing.set_start_method(sys.argv[1])
-    pid, _ = WarmWorkerPool().run_one(worker_pid, 0, timeout_s=60)
+    # Bound to a name: a collected pool shuts its worker down itself.
+    pool = WarmWorkerPool()
+    pid, _ = pool.run_one(worker_pid, 0, timeout_s=60)
     print(pid, flush=True)
     time.sleep(120)
+"""
+
+#: Runs two items that print their worker's pid and hang, under a
+#: ``supervised_map`` of width 2.  Each pid line is one write, so the two
+#: workers' lines cannot interleave on the shared pipe.
+_MAP_OWNER_SCRIPT = """
+import os, time
+from repro.runtime.supervisor import supervised_map
+
+def report_and_hang(item, attempt):
+    os.write(1, b"%d\\n" % os.getpid())
+    time.sleep(120)
+
+if __name__ == "__main__":
+    supervised_map(report_and_hang, [0, 1], max_workers=2)
 """
 
 
@@ -283,6 +361,38 @@ def test_workers_serve_and_die_with_their_owner_under_every_start_method(
         owner.stdout.close()
         if worker is not None and alive(worker):
             os.kill(worker, signal.SIGKILL)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+def test_sigkilled_supervised_map_owner_leaves_no_worker(tmp_path):
+    """``supervised_map`` runs on the warm pool's workers, which exit
+    once their owner is gone, even mid-item."""
+    script = tmp_path / "map_owner.py"
+    script.write_text(_MAP_OWNER_SCRIPT)
+    owner = subprocess.Popen(
+        [sys.executable, str(script)],
+        stdout=subprocess.PIPE,
+        text=True,
+        env=_src_env(),
+    )
+    workers: list[int] = []
+    try:
+        for _ in range(2):
+            line = owner.stdout.readline()
+            assert line.strip().isdigit(), f"item never started: {line!r}"
+            workers.append(int(line))
+        assert all(alive(pid) for pid in workers)
+        owner.kill()
+        owner.wait(timeout=30)
+        assert outliving(workers, time.monotonic() + 3.0) == []
+    finally:
+        if owner.poll() is None:
+            owner.kill()
+            owner.wait(timeout=30)
+        owner.stdout.close()
+        for pid in workers:
+            if alive(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 @pytest.mark.service

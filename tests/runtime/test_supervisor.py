@@ -9,13 +9,13 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.runtime import supervisor
+from repro.runtime import pool
 from repro.runtime.supervisor import (
-    Journal,
     JournalMismatch,
     SweepError,
     supervised_map,
 )
+from repro.store import DurableLog
 
 
 # Pool work functions must be module-level (picklable).  Transient faults
@@ -83,7 +83,7 @@ class TestSupervisedMap:
     ):
         monkeypatch.setattr(_DiesBeforeSecondSubmit, "built", 0)
         monkeypatch.setattr(
-            supervisor, "ProcessPoolExecutor", _DiesBeforeSecondSubmit
+            pool, "ProcessPoolExecutor", _DiesBeforeSecondSubmit
         )
         attempts = {}
         results, failures = supervised_map(
@@ -136,7 +136,7 @@ class TestSupervisedMap:
         seen = []
         supervised_map(
             _square, [1, 2], max_workers=1,
-            on_result=lambda item, value: seen.append((item, value)),
+            on_result=lambda item, value, attempt: seen.append((item, value)),
         )
         assert sorted(seen) == [(1, 1), (2, 4)]
 
@@ -216,50 +216,50 @@ class TestSupervisedMap:
 class TestJournal:
     def test_record_and_resume(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
-        with Journal(path, "fp") as journal:
+        with DurableLog(path, "fp") as journal:
             journal.record(3, {"faults": 7})
             journal.record(4, {"faults": 9})
-        resumed = Journal(path, "fp")
+        resumed = DurableLog(path, "fp")
         assert resumed.completed == {3: {"faults": 7}, 4: {"faults": 9}}
         resumed.record(5, {"faults": 1})
         resumed.close()
-        assert Journal(path, "fp").completed[5] == {"faults": 1}
+        assert DurableLog(path, "fp").completed[5] == {"faults": 1}
 
     def test_fingerprint_mismatch_refuses_resume(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
-        Journal(path, "fp-a").close()
+        DurableLog(path, "fp-a").close()
         with pytest.raises(JournalMismatch):
-            Journal(path, "fp-b")
+            DurableLog(path, "fp-b")
 
     def test_truncated_tail_line_is_dropped(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
-        with Journal(path, "fp") as journal:
+        with DurableLog(path, "fp") as journal:
             journal.record(1, {"faults": 2})
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"key": 2, "val')  # crash arrived mid-write
         with pytest.warns(RuntimeWarning, match="partially-written"):
-            resumed = Journal(path, "fp")
+            resumed = DurableLog(path, "fp")
         assert resumed.completed == {1: {"faults": 2}}
 
     def test_truncated_tail_is_repaired_on_disk(self, tmp_path):
         """The partial tail is physically truncated away, so the journal
         is valid JSONL again and a *second* reload is warning-free."""
         path = tmp_path / "sweep.jsonl"
-        with Journal(path, "fp") as journal:
+        with DurableLog(path, "fp") as journal:
             journal.record(1, {"faults": 2})
             journal.record(2, {"faults": 5})
         clean_size = path.stat().st_size
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"key": 3, "va')  # SIGKILL mid-record()
         with pytest.warns(RuntimeWarning):
-            repaired = Journal(path, "fp")
+            repaired = DurableLog(path, "fp")
         repaired.record(3, {"faults": 9})
         repaired.close()
         assert path.stat().st_size > clean_size
         # No warning this time: the file was repaired, not just tolerated.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            resumed = Journal(path, "fp")
+            resumed = DurableLog(path, "fp")
         assert resumed.completed == {
             1: {"faults": 2}, 2: {"faults": 5}, 3: {"faults": 9}
         }
@@ -269,42 +269,42 @@ class TestJournal:
         """A corrupt line *followed by* valid lines is damage, not a
         crash artefact: refuse to resume rather than silently drop it."""
         path = tmp_path / "sweep.jsonl"
-        with Journal(path, "fp") as journal:
+        with DurableLog(path, "fp") as journal:
             journal.record(1, {"faults": 2})
             journal.record(2, {"faults": 5})
         lines = path.read_text().splitlines()
         lines[1] = lines[1][: len(lines[1]) // 2]  # damage a middle line
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(JournalMismatch):
-            Journal(path, "fp")
+            DurableLog(path, "fp")
 
     def test_close_is_fsynced(self, tmp_path, monkeypatch):
-        """Journal.close() must fsync before closing the handle."""
+        """DurableLog.close() must fsync before closing the handle."""
         synced = []
         real_fsync = os.fsync
         monkeypatch.setattr(os, "fsync", lambda fd: synced.append(fd) or real_fsync(fd))
         path = tmp_path / "sweep.jsonl"
-        with Journal(path, "fp") as journal:
+        with DurableLog(path, "fp") as journal:
             journal.record(1, {"faults": 2})
         assert synced  # fsync happened during __exit__ -> close()
 
     def test_tuple_keys_survive_json_round_trip(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
-        with Journal(path, "fp") as journal:
+        with DurableLog(path, "fp") as journal:
             journal.record((1, 2), {"x": 0})
-        assert Journal(path, "fp").completed == {(1, 2): {"x": 0}}
+        assert DurableLog(path, "fp").completed == {(1, 2): {"x": 0}}
 
     def test_empty_or_headerless_file_rejected(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
         path.write_text("")
         with pytest.raises(JournalMismatch):
-            Journal(path, "fp")
+            DurableLog(path, "fp")
         path.write_text("not json\n")
         with pytest.raises(JournalMismatch):
-            Journal(path, "fp")
+            DurableLog(path, "fp")
 
     def test_header_line_format(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
-        Journal(path, "fp").close()
+        DurableLog(path, "fp").close()
         header = json.loads(path.read_text().splitlines()[0])
         assert header == {"journal": 1, "fingerprint": "fp"}

@@ -56,10 +56,10 @@ class TestCommands:
         assert main(["experiment", "E2", "--markdown"]) == 0
         assert capsys.readouterr().out.startswith("### E2")
 
-    def test_compare(self, capsys):
+    def test_panel(self, capsys):
         code = main(
             [
-                "compare",
+                "panel",
                 "--workload",
                 "uniform",
                 "-p",
