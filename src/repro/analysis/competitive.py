@@ -2,15 +2,13 @@
 
 Runs strategies over workloads, computes fault ratios against a reference
 (another strategy or a closed-form/offline optimum), and sweeps parameter
-grids — optionally in parallel across processes, since independent
-simulations are embarrassingly parallel.
+grids in process.  Parallel, supervised sweeps of replicas go through
+:func:`repro.analysis.batch_run` or :mod:`repro.fleet` instead.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from repro.core.request import Workload
@@ -76,29 +74,9 @@ def fault_ratio(
     return ratio, alg, int(ref)
 
 
-def _run_point(job) -> tuple:
-    point, fn = job
-    return point, fn(point)
+def sweep(points: Iterable, fn: Callable) -> list[tuple]:
+    """Evaluate ``fn(point)`` over ``points``.
 
-
-def sweep(
-    points: Iterable,
-    fn: Callable,
-    *,
-    parallel: bool = False,
-    max_workers: int | None = None,
-) -> list[tuple]:
-    """Evaluate ``fn(point)`` over ``points``, optionally in parallel.
-
-    Returns ``[(point, result), ...]`` in input order.  ``fn`` and the
-    points must be picklable for ``parallel=True``; simulation sweeps are
-    CPU-bound and independent, so process-level parallelism scales until
-    memory bandwidth does.
+    Returns ``[(point, result), ...]`` in input order.
     """
-    points = list(points)
-    if not parallel or len(points) <= 1:
-        return [(pt, fn(pt)) for pt in points]
-    workers = max_workers or min(len(points), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(fn, points))
-    return list(zip(points, results))
+    return [(pt, fn(pt)) for pt in points]

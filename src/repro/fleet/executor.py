@@ -513,7 +513,8 @@ class FleetExecutor:
        fails over elsewhere, charged to an infrastructure budget;
        service-reported ``FAILED`` charges the work ``retries`` budget;
        backpressure charges nothing and sleeps the Retry-After hint
-       (deterministically jittered, capped at ``max_backoff_s``);
+       (deterministically jittered, capped at ``max_backoff_s`` and at
+       what remains of the batch's deadline);
     4. a background probe thread GETs ``/healthz`` on endpoints whose
        breaker is not CLOSED, so a recovered endpoint rejoins the fleet
        without any replica having to gamble on it first;
@@ -648,14 +649,18 @@ class FleetExecutor:
                 best = ep
         return best
 
-    def _jitter_sleep(self, hint_s: float, key, round_index: int) -> None:
+    def _jitter_sleep(
+        self, hint_s: float, key, round_index: int, deadline: float
+    ) -> None:
         """Backpressure sleep: the server's hint, capped, stretched by a
-        deterministic per-(replica, round) factor in [1, 1.25]."""
+        deterministic per-(replica, round) factor in [1, 1.25], and never
+        past the batch's ``deadline``."""
         digest = hashlib.sha256(
             f"{self.backoff_seed}|{key!r}|{round_index}".encode("utf-8")
         ).digest()
         frac = int.from_bytes(digest[:8], "big") / 2**64
-        time.sleep(min(hint_s, self.max_backoff_s) * (1.0 + 0.25 * frac))
+        sleep_s = min(hint_s, self.max_backoff_s) * (1.0 + 0.25 * frac)
+        time.sleep(max(0.0, min(sleep_s, deadline - time.monotonic())))
 
     def run(self, jobs, *, on_outcome=None) -> list[ReplicaOutcome]:
         jobs = list(jobs)
@@ -765,8 +770,11 @@ class FleetExecutor:
                     kind, params, endpoint, deadline
                 )
             except Backpressure as busy:
+                last_error = str(busy)
                 backoff_round += 1
-                self._jitter_sleep(busy.retry_after_s, key, backoff_round)
+                self._jitter_sleep(
+                    busy.retry_after_s, key, backoff_round, deadline
+                )
                 continue
             except EndpointDown as exc:
                 # Transport verdict (includes CorruptResponse): suspect

@@ -14,8 +14,8 @@ experiment-by-experiment and reports, in decreasing order of severity:
 * table shape changes (column sets or row keys differ).
 
 The report's emptiness gates the CLI exit code (``repro compare A B``
-exits non-zero on any surviving difference), which is what the CI
-platform-smoke job uses as a regression gate.
+exits non-zero on any surviving difference), which is what the
+``platform_lifecycle`` chaos campaign uses as a regression gate.
 """
 
 from __future__ import annotations

@@ -20,8 +20,8 @@ a folder without it is an interrupted run, and re-running the spec
 resumes from ``journal.jsonl`` instead of recomputing finished
 experiments.  Metric tables exclude wall-clock times (those live in
 ``run.json``), so identical work produces **byte-identical** metric
-files — the property the run-diff machinery and the CI platform-smoke
-gate rely on.
+files — the property the run-diff machinery and the
+``platform_lifecycle`` chaos campaign rely on.
 """
 
 from __future__ import annotations

@@ -327,7 +327,8 @@ class JobStore:
     def recovery_stats(self) -> dict:
         """How much work the last open cost — the compaction gate's
         numbers: segment records replayed, and whether a snapshot seeded
-        the table (see tools/compaction_smoke.py)."""
+        the table (see the ``compaction_gate`` campaign of
+        :mod:`repro.chaos_campaign`)."""
         with self._lock:
             return {
                 "replayed": self._journal.replayed,

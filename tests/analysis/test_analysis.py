@@ -79,14 +79,3 @@ class TestHarness:
     def test_sweep_serial(self):
         out = sweep([1, 2, 3], lambda x: x * x)
         assert out == [(1, 1), (2, 4), (3, 9)]
-
-    def test_sweep_parallel(self):
-        out = sweep([1, 2, 3, 4], _square, parallel=True, max_workers=2)
-        assert out == [(1, 1), (2, 4), (3, 9), (4, 16)]
-
-    def test_sweep_single_point_stays_serial(self):
-        assert sweep([5], _square, parallel=True) == [(5, 25)]
-
-
-def _square(x):
-    return x * x

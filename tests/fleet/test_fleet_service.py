@@ -14,6 +14,7 @@ import sys
 import threading
 import time
 from collections import Counter, deque
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -89,6 +90,23 @@ def dead_url():
         sock.bind(("127.0.0.1", 0))
         port = sock.getsockname()[1]
     return f"http://127.0.0.1:{port}"
+
+
+class _AlwaysBusy(BaseHTTPRequestHandler):
+    """An endpoint that answers every submission 429, ``Retry-After: 5``."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        body = b'{"error": "queue full"}'
+        self.send_response(429)
+        self.send_header("Retry-After", "5")
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
 
 
 @pytest.fixture
@@ -214,6 +232,31 @@ class TestFleetExecutor:
         assert any(o.hedged for o in fleet.outcomes.values())
         assert {o.endpoint for o in fleet.outcomes.values()} == {urls[1]}
         assert inflight == {url: 0 for url in urls}
+
+    def test_backpressure_sleep_stops_at_the_batch_deadline(self):
+        """A saturated endpoint's Retry-After postpones a batch, but never
+        past its deadline, and the ERROR names the rejection."""
+        httpd = ThreadingHTTPServer(("127.0.0.1", 0), _AlwaysBusy)
+        httpd.daemon_threads = True
+        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+        thread.start()
+        host, port = httpd.server_address[:2]
+        try:
+            with FleetExecutor(
+                [f"http://{host}:{port}"],
+                replica_deadline_s=0.3,
+                hedge_after_s=None,
+            ) as ex:
+                started = time.monotonic()
+                [outcome] = ex.run([ReplicaJob(0, dict(TASK, seed=0))])
+                elapsed = time.monotonic() - started
+        finally:
+            httpd.shutdown()
+            httpd.server_close()
+            thread.join(timeout=5)
+        assert outcome.status == "ERROR"
+        assert elapsed < 1.0
+        assert "HTTP 429" in outcome.error
 
     def test_endpoint_killed_mid_sweep(self, two_endpoints):
         (service_a, http_a), (_service_b, http_b) = two_endpoints

@@ -6,23 +6,18 @@ import signal
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
-import repro
-from repro.runtime.pool import SweepError, WarmWorkerPool, WorkerJobFailed
-from repro.service.client import ServiceClient
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
-
-from fleet_smoke import (  # noqa: E402
-    Server,
+from repro.chaos_campaign import (
+    _ServeProc,
     alive,
-    child_pids,
+    child_env,
     outliving,
     proc_stat,
 )
+from repro.runtime.pool import SweepError, WarmWorkerPool, WorkerJobFailed
+from repro.service.client import ServiceClient
 
 
 # Pool work functions must be module-level (picklable).  Transient faults
@@ -316,16 +311,6 @@ if __name__ == "__main__":
 """
 
 
-def _src_env() -> dict:
-    env = dict(os.environ)
-    env.pop("REPRO_CHAOS", None)
-    src = str(Path(repro.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, env.get("PYTHONPATH")])
-    )
-    return env
-
-
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
 @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
 def test_workers_serve_and_die_with_their_owner_under_every_start_method(
@@ -343,7 +328,7 @@ def test_workers_serve_and_die_with_their_owner_under_every_start_method(
         [sys.executable, str(script), method],
         stdout=subprocess.PIPE,
         text=True,
-        env=_src_env(),
+        env=child_env(),
     )
     worker = None
     try:
@@ -373,7 +358,7 @@ def test_sigkilled_supervised_map_owner_leaves_no_worker(tmp_path):
         [sys.executable, str(script)],
         stdout=subprocess.PIPE,
         text=True,
-        env=_src_env(),
+        env=child_env(),
     )
     workers: list[int] = []
     try:
@@ -400,7 +385,7 @@ def test_sigkilled_supervised_map_owner_leaves_no_worker(tmp_path):
 def test_sigkilled_server_leaves_no_pool_worker(tmp_path):
     """``repro serve`` runs one job on a warm-pool worker, then is
     SIGKILLed: the worker notices its parent is gone and exits."""
-    server = Server(str(tmp_path / "serve.jsonl")).start()
+    server = _ServeProc(tmp_path / "serve.jsonl", "--workers", "3").start()
     workers: list[int] = []
     try:
         record = ServiceClient(server.url).submit_and_wait(
@@ -409,9 +394,9 @@ def test_sigkilled_server_leaves_no_pool_worker(tmp_path):
              "cache_size": 6, "strategy": "S_LRU", "seed": 1},
         )
         assert record["state"] == "DONE"
-        workers = child_pids(server.proc.pid)
+        workers = server.children()
         assert workers
-        server.sigkill()
+        server.kill()
         assert outliving(workers, time.monotonic() + 3.0) == []
     finally:
         server.stop()
